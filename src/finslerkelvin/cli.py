@@ -4,7 +4,8 @@ Subcommands select the suite (`identities`, `kelvin`, `counterexample`,
 `semilinear`, `nlaplace`, `all`); flags override values from an optional
 `key = value` config file.  Reports embed the fully resolved configuration
 and the tool version, and identical configurations produce byte-identical
-JSON artifacts regardless of the thread count.
+JSON artifacts.  `--threads` (config key `threads`) is still accepted and
+validated but has no effect: every suite runs on one thread.
 
 Exit codes: 0 all suites pass, 1 verification failure, 2 usage or
 configuration error, 3 I/O error.
@@ -16,8 +17,9 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 
-from .norms import NormSpec, QuarticNorm, parse_norm
+from .norms import NormSpec, parse_norm
 from .report import ResidualReport, render_csv, render_json, render_table
+from .sampling import MAX_DIM
 from .verify import (
     SamplePlan,
     run_counterexample_scan,
@@ -67,9 +69,8 @@ class RunConfig:
         return SamplePlan(annulus=self.annulus, count=self.count, seed=self.seed)
 
     def to_dict(self) -> dict:
-        # `out` and `threads` are execution details: they can never change a
-        # reported number, so they stay out of the embedded config and equal
-        # runs produce byte-identical artifacts regardless of threading.
+        # `out` and `threads` can never change a reported number, so they
+        # stay out of the embedded config.
         return {
             "norm": self.norm,
             "dim": self.dim,
@@ -112,7 +113,11 @@ def _validate(config: RunConfig, dim_override: int | None) -> RunConfig:
         raise ValueError(f"unknown format {config.format!r}; choose from {FORMATS}")
     if config.threads < 1:
         raise ValueError("threads must be >= 1")
-    if config.suite in ("semilinear", "nlaplace") and isinstance(spec, QuarticNorm):
+    if spec.dim >= MAX_DIM:
+        # the sample plan draws dim + 1 Halton coordinates
+        raise ValueError(f"dimension {spec.dim} is too large: sample plans "
+                         f"support at most {MAX_DIM - 1}")
+    if config.suite in ("semilinear", "nlaplace") and spec.matrix is None:
         raise ValueError(
             "theorem suites require a riemannian or euclidean norm"
         )
@@ -181,13 +186,13 @@ def _dispatch(suite: str, config: RunConfig) -> list[ResidualReport]:
     if suite == "identities":
         return [run_identity_suite(spec, plan)]
     if suite == "kelvin":
-        return [run_kelvin_suite(spec, plan, threads=config.threads)]
+        return [run_kelvin_suite(spec, plan)]
     if suite == "counterexample":
         return [run_counterexample_scan(spec)]
     if suite == "semilinear":
-        return [run_semilinear_suite(spec, plan, threads=config.threads)]
+        return [run_semilinear_suite(spec, plan)]
     if suite == "nlaplace":
-        return [run_nlaplace_suite(spec, plan, threads=config.threads)]
+        return [run_nlaplace_suite(spec, plan)]
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -209,7 +214,7 @@ def run(config: RunConfig) -> int:
                 # the scan is pinned to the quartic counterexample norm;
                 # selecting the suite explicitly runs the configured norm
                 reports.extend(_dispatch(name, replace(config, norm="quartic")))
-            elif name in ("semilinear", "nlaplace") and isinstance(spec, QuarticNorm):
+            elif name in ("semilinear", "nlaplace") and spec.matrix is None:
                 reports.append(_skip_report(
                     name, "theorem suites need a quadratic-form norm"))
             elif name == "nlaplace" and spec.dim < 3:
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "csv", "table"],
                         help="report format")
     parser.add_argument("--threads", type=int, metavar="K",
-                        help="worker threads (never changes reported numbers)")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("suite", nargs="?", choices=list(SUITES),
                         help="suite to run (default: config file or 'all')")
     return parser

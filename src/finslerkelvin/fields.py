@@ -32,12 +32,11 @@ class ScalarField:
     test suite enforces this for every built-in constructor).
     """
 
-    def __init__(self, dim, evaluate, jet=None, name="field", smoothness="C^2"):
+    def __init__(self, dim, evaluate, jet=None, name="field"):
         self.dim = int(dim)
         self._evaluate = evaluate
-        self._jet = jet
+        self._jet_fn = jet
         self.name = name
-        self.smoothness = smoothness
 
     def __call__(self, x):
         pts = np.asarray(x, dtype=float)
@@ -48,12 +47,12 @@ class ScalarField:
 
     @property
     def has_jet(self) -> bool:
-        return self._jet is not None
+        return self._jet_fn is not None
 
     def jet(self, x) -> Jet2:
-        if self._jet is None:
+        if self._jet_fn is None:
             raise ValueError(f"field {self.name!r} carries no jet contract")
-        return self._jet(np.asarray(x, dtype=float))
+        return self._jet_fn(np.asarray(x, dtype=float))
 
     def __repr__(self):
         tag = "jet" if self.has_jet else "no jet"
@@ -137,7 +136,6 @@ def constant_field(dim, c, name=None) -> ScalarField:
         lambda pts: np.full(pts.shape[:-1], c),
         jet=lambda x: Jet2(c, zero_g.copy(), zero_h.copy()),
         name=name or f"const({c})",
-        smoothness="C^inf",
     )
 
 
@@ -151,7 +149,6 @@ def linear_field(a, c=0.0, name=None) -> ScalarField:
         lambda pts: pts @ a + c,
         jet=lambda x: Jet2(float(x @ a + c), a.copy(), zero_h.copy()),
         name=name or "linear",
-        smoothness="C^inf",
     )
 
 
@@ -168,8 +165,7 @@ def quadratic_field(a, b=None, c=0.0, name=None) -> ScalarField:
     def jet(x):
         return Jet2(float(x @ sym @ x + x @ b + c), 2.0 * sym @ x + b, 2.0 * sym)
 
-    return ScalarField(dim, evaluate, jet=jet, name=name or "quadratic",
-                       smoothness="C^inf")
+    return ScalarField(dim, evaluate, jet=jet, name=name or "quadratic")
 
 
 def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
@@ -190,8 +186,7 @@ def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
         hess = np.diag(6.0 * a * x) + 2.0 * bm
         return Jet2(value, grad, hess)
 
-    return ScalarField(dim, evaluate, jet=jet, name=name or "cubic",
-                       smoothness="C^inf")
+    return ScalarField(dim, evaluate, jet=jet, name=name or "cubic")
 
 
 def gaussian_field(center, width=1.0, amplitude=1.0, name=None) -> ScalarField:
@@ -212,8 +207,7 @@ def gaussian_field(center, width=1.0, amplitude=1.0, name=None) -> ScalarField:
         hess = value * (4.0 / w2**2 * np.outer(d, d) - 2.0 / w2 * np.eye(dim))
         return Jet2(value, grad, hess)
 
-    return ScalarField(dim, evaluate, jet=jet, name=name or "gaussian",
-                       smoothness="C^inf")
+    return ScalarField(dim, evaluate, jet=jet, name=name or "gaussian")
 
 
 def norm_power_field(spec: NormSpec, exponent: float, name=None) -> ScalarField:
@@ -237,5 +231,4 @@ def norm_power_field(spec: NormSpec, exponent: float, name=None) -> ScalarField:
         )
         return Jet2(value, grad, hess)
 
-    return ScalarField(spec.dim, evaluate, jet=jet,
-                       name=name or f"H^{p}", smoothness="C^2 off origin")
+    return ScalarField(spec.dim, evaluate, jet=jet, name=name or f"H^{p}")

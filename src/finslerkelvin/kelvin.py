@@ -32,14 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, norm_power_field
-from .norms import (
-    EuclideanNorm,
-    Jet2,
-    NormSpec,
-    RiemannianNorm,
-    dual_spec,
-    eval_norm,
-)
+from .norms import Jet2, NormSpec, dual_spec, eval_norm
 from .operators import JetRequest, numeric_jet
 from .sampling import cube_directions
 
@@ -59,10 +52,6 @@ __all__ = [
 _SELF_CHECK_POINTS = 8
 
 
-def _is_quadratic_form(spec: NormSpec) -> bool:
-    return isinstance(spec, (RiemannianNorm, EuclideanNorm))
-
-
 class KelvinContext:
     """A norm, its dual, and the dimension, validated together.
 
@@ -76,7 +65,7 @@ class KelvinContext:
         self.spec = spec
         self.dual = dual_spec(spec)
         self.dim = spec.dim
-        tol = 1e-8 if (spec.closed_form_dual and self.dual.closed_form_dual) else 1e-6
+        tol = 1e-8 if spec.matrix is not None else 1e-6
         worst = 0.0
         for x in cube_directions(_SELF_CHECK_POINTS, self.dim, skip=11) * 1.3:
             gp = self.spec.jet(x).gradient
@@ -119,9 +108,8 @@ def jacobian_matrix(ctx: KelvinContext, x) -> np.ndarray:
     pt = np.asarray(x, dtype=float)
     if pt.shape != (ctx.dim,):
         raise ValueError("jacobian_matrix expects a single point")
-    if isinstance(ctx.spec, (RiemannianNorm, EuclideanNorm)):
-        m = (np.eye(ctx.dim) if isinstance(ctx.spec, EuclideanNorm)
-             else ctx.spec.matrix.entries)
+    if ctx.spec.matrix is not None:
+        m = ctx.spec.matrix.entries
         mx = m @ pt
         h2 = float(pt @ mx)
         if h2 == 0.0:
@@ -178,13 +166,12 @@ def map_second_derivative(ctx: KelvinContext, x) -> np.ndarray:
 
     Other norms have no closed form here; use numeric jets instead.
     """
-    if not _is_quadratic_form(ctx.spec):
+    if ctx.spec.matrix is None:
         raise ValueError(
             "closed-form second derivatives exist only for quadratic-form norms"
         )
     pt = np.asarray(x, dtype=float)
-    m = (np.eye(ctx.dim) if isinstance(ctx.spec, EuclideanNorm)
-         else ctx.spec.matrix.entries)
+    m = ctx.spec.matrix.entries
     mx = m @ pt
     h2 = float(pt @ mx)
     if h2 == 0.0:
@@ -197,7 +184,7 @@ def map_second_derivative(ctx: KelvinContext, x) -> np.ndarray:
     return -2.0 * s**2 * (t1 + t2 + t3) + 8.0 * s**3 * t4
 
 
-def _pullback_jet(ctx: KelvinContext, u: ScalarField, y: np.ndarray):
+def _pullback_jet(ctx: KelvinContext, u: ScalarField, y: np.ndarray) -> Jet2:
     """Chain-rule jet of u(T(y)) for quadratic-form contexts."""
     t = kelvin_map(ctx, y)
     dt = jacobian_matrix(ctx, y)
@@ -205,7 +192,17 @@ def _pullback_jet(ctx: KelvinContext, u: ScalarField, y: np.ndarray):
     uj = u.jet(t)
     grad = dt.T @ uj.gradient
     hess = dt.T @ uj.hessian @ dt + np.einsum("k,kij->ij", uj.gradient, d2t)
-    return uj.value, grad, 0.5 * (hess + hess.T)
+    return Jet2(uj.value, grad, 0.5 * (hess + hess.T))
+
+
+def _numeric_jet_field(dim: int, evaluate, name: str) -> ScalarField:
+    """Field whose jet is the finite-difference jet of its own values."""
+
+    def jet(y):
+        return numeric_jet(JetRequest(field=field, point=y))
+
+    field = ScalarField(dim, evaluate, jet=jet, name=name)
+    return field
 
 
 def star_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
@@ -216,16 +213,11 @@ def star_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
     def evaluate(pts):
         return u(kelvin_map(ctx, pts))
 
-    field = ScalarField(ctx.dim, evaluate, name=f"star({u.name})",
-                        smoothness="C^2 off origin")
-    if u.has_jet and _is_quadratic_form(ctx.spec):
-        def jet(y):
-            value, grad, hess = _pullback_jet(ctx, u, y)
-            return Jet2(value, grad, hess)
-        field._jet = jet
-    else:
-        field._jet = _numeric_jet_contract(field)
-    return field
+    name = f"star({u.name})"
+    if u.has_jet and ctx.spec.matrix is not None:
+        return ScalarField(ctx.dim, evaluate, name=name,
+                           jet=lambda y: _pullback_jet(ctx, u, y))
+    return _numeric_jet_field(ctx.dim, evaluate, name)
 
 
 def hat_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
@@ -237,10 +229,8 @@ def hat_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
     """
     if u.dim != ctx.dim:
         raise ValueError("field dimension does not match the context")
-    weight = norm_power_field(ctx.spec, 2.0 - ctx.dim)
-    pulled = star_transform(ctx, u)
-    if u.has_jet and _is_quadratic_form(ctx.spec):
-        out = weight * pulled
+    if u.has_jet and ctx.spec.matrix is not None:
+        out = norm_power_field(ctx.spec, 2.0 - ctx.dim) * star_transform(ctx, u)
         out.name = f"hat({u.name})"
         return out
 
@@ -250,16 +240,4 @@ def hat_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
             kelvin_map(ctx, pts)
         )
 
-    field = ScalarField(ctx.dim, evaluate, name=f"hat({u.name})",
-                        smoothness="C^2 off origin")
-    field._jet = _numeric_jet_contract(field)
-    return field
-
-
-def _numeric_jet_contract(field: ScalarField):
-    """Finite-difference fallback jet for transformed fields."""
-
-    def jet(y):
-        return numeric_jet(JetRequest(field=field, point=y))
-
-    return jet
+    return _numeric_jet_field(ctx.dim, evaluate, f"hat({u.name})")

@@ -169,13 +169,19 @@ CSV_HEADER_TAIL = ["lhs", "rhs", "abs_residual", "rel_residual", "flag"]
 
 
 def render_csv(reports: list[ResidualReport], dim: int) -> str:
-    """One row per sample point; suites are concatenated in run order."""
+    """One row per sample point; suites are concatenated in run order.
+
+    The point columns are as many as the widest point, at least `dim`;
+    shorter points (the planar counterexample scan inside a
+    higher-dimensional `all` run) are padded with empty cells.
+    """
     buf = io.StringIO()
-    header = [f"x{i}" for i in range(dim)] + CSV_HEADER_TAIL
+    width = max([dim] + [len(r.point) for rep in reports for r in rep.rows])
+    header = [f"x{i}" for i in range(width)] + CSV_HEADER_TAIL
     buf.write(",".join(header) + "\n")
     for rep in reports:
         for r in rep.rows:
-            cells = [repr(c) for c in r.point]
+            cells = [repr(c) for c in r.point] + [""] * (width - len(r.point))
             cells += [repr(r.lhs), repr(r.rhs), repr(r.abs_residual),
                       repr(r.rel_residual), "1" if r.flag else "0"]
             buf.write(",".join(cells) + "\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_DIM = len(_PRIMES)
 
 
 def _radical_inverse(index: int, base: int) -> float:
@@ -28,8 +29,8 @@ def halton(count: int, dim: int, skip: int = 0) -> np.ndarray:
     The index offset lets callers carve disjoint deterministic subsequences
     out of the same global sequence (used for seed-dependent sample plans).
     """
-    if dim > len(_PRIMES):
-        raise ValueError(f"halton supports at most {len(_PRIMES)} dimensions")
+    if dim > MAX_DIM:
+        raise ValueError(f"halton supports at most {MAX_DIM} dimensions")
     if count < 0 or skip < 0:
         raise ValueError("count and skip must be non-negative")
     out = np.empty((count, dim))

@@ -26,7 +26,6 @@ and every identity above becomes a computable residual with no unknowns.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,6 @@ from .kelvin import (
     star_transform,
 )
 from .norms import (
-    EuclideanNorm,
     NormSpec,
     QuarticNorm,
     RiemannianNorm,
@@ -103,6 +101,9 @@ TOL_FUNDAMENTAL = 1e-6
 TOL_PROOF_IDENTITY = 1e-8
 TOL_QUADRATURE = 1e-2
 MIN_FD_ORDER = 1.8
+# Rows whose pullback gradient is below this size are flagged: their relative
+# residual means nothing.  operators._DEGENERATE_GRADIENT (1e-140) is a
+# different threshold that only guards the operator's division by zero.
 DEGENERATE_GRADIENT_TOL = 1e-8
 
 # Regression floor for the quartic-norm determinant-invariant spread over a
@@ -115,28 +116,8 @@ QUARTIC_SPREAD_MIN = 0.999
 _HOMOG_SCALES = (-3.5, -1.25, -0.5, 0.75, 2.0, 7.5)
 
 
-def _is_quadratic_form(spec: NormSpec) -> bool:
-    return isinstance(spec, (RiemannianNorm, EuclideanNorm))
-
-
-def _matrix_of(spec: NormSpec) -> np.ndarray:
-    if isinstance(spec, EuclideanNorm):
-        return np.eye(spec.dim)
-    return spec.matrix.entries
-
-
-def _pmap(fn, items, threads: int = 1) -> list:
-    """Order-preserving map; results do not depend on the thread count."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _path_tolerance(spec: NormSpec) -> float:
-    dual = dual_spec(spec)
-    closed = spec.closed_form_dual and dual.closed_form_dual
-    return TOL_CLOSED_FORM if closed else TOL_NUMERIC_DUAL
+    return TOL_CLOSED_FORM if spec.matrix is not None else TOL_NUMERIC_DUAL
 
 
 @dataclass(frozen=True)
@@ -196,7 +177,7 @@ class ManufacturedProblem:
 
 
 def _default_center(dim: int) -> np.ndarray:
-    return np.array([0.3, -0.2, 0.15, -0.1][:dim])
+    return np.array(([0.3, -0.2, 0.15, -0.1] + [0.0] * dim)[:dim])
 
 
 def manufacture_semilinear(spec: NormSpec, family: str = "quadratic",
@@ -208,14 +189,14 @@ def manufacture_semilinear(spec: NormSpec, family: str = "quadratic",
     of the operator on u's jet.
     """
     dim = spec.dim
+    m = None if spec.matrix is None else spec.matrix.entries
     if family == "quadratic":
         a = np.asarray(params.get("matrix", np.eye(dim)), dtype=float)
         b = np.asarray(params.get("linear", np.zeros(dim)), dtype=float)
         c = float(params.get("offset", 0.0))
         u = quadratic_field(a, b, c, name="u-quadratic")
         sym = 0.5 * (a + a.T)
-        if _is_quadratic_form(spec):
-            m = _matrix_of(spec)
+        if m is not None:
             f = constant_field(dim, -2.0 * float(np.tensordot(m, sym)),
                                name="f-quadratic")
             return ManufacturedProblem(u, f, spec, family)
@@ -224,8 +205,7 @@ def manufacture_semilinear(spec: NormSpec, family: str = "quadratic",
         width = float(params.get("width", 1.2))
         amplitude = float(params.get("amplitude", 1.0))
         u = gaussian_field(center, width, amplitude, name="u-gaussian")
-        if _is_quadratic_form(spec):
-            m = _matrix_of(spec)
+        if m is not None:
             w2 = width**2
             # -trace(M D^2 u) = u * (2 tr M / w^2 - 4 (x-c)^T M (x-c) / w^4)
             poly = quadratic_field(
@@ -242,8 +222,7 @@ def manufacture_semilinear(spec: NormSpec, family: str = "quadratic",
         b = np.asarray(params.get("matrix", 0.4 * np.eye(dim)), dtype=float)
         cv = np.asarray(params.get("linear", np.zeros(dim)), dtype=float)
         u = cubic_axis_field(a, b, cv, name="u-poly3")
-        if _is_quadratic_form(spec):
-            m = _matrix_of(spec)
+        if m is not None:
             bsym = 0.5 * (b + b.T)
             f = linear_field(-6.0 * a * np.diag(m),
                              -2.0 * float(np.tensordot(m, bsym)),
@@ -308,7 +287,7 @@ def manufacture_nlaplace(spec: NormSpec, family: str = "quadratic",
 
 
 def _require_quadratic_form(spec: NormSpec, what: str) -> None:
-    if not _is_quadratic_form(spec):
+    if spec.matrix is None:
         raise ValueError(f"{what} assumes a quadratic-form (riemannian or "
                          f"euclidean) norm, got {spec.canonical()}")
 
@@ -342,7 +321,7 @@ def _convergence_study(field: ScalarField, lhs_of_jet, rhs_values, points,
 
 def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
                              plan: SamplePlan, jet_mode: str = "auto",
-                             convergence: bool = False, threads: int = 1,
+                             convergence: bool = False,
                              tolerance: float = TOL_SEMILINEAR) -> ResidualReport:
     """Residuals of the weighted-pullback transform theorem.
 
@@ -365,7 +344,7 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
             jet = uhat.jet(y)
         return -anisotropic_laplacian(ctx.dual, jet)
 
-    lhs_vals = _pmap(lhs_at, list(pts), threads)
+    lhs_vals = [lhs_at(y) for y in pts]
     rows = residual_rows(pts, lhs_vals, rhs_vals)
     report = ResidualReport(suite="theorem-semilinear", tolerance=tolerance,
                             rows=rows,
@@ -388,7 +367,6 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
 
 def check_theorem_nlaplace(ctx: KelvinContext, u: ScalarField, g: ScalarField,
                            plan: SamplePlan, jet_mode: str = "auto",
-                           threads: int = 1,
                            tolerance: float = TOL_NLAPLACE) -> ResidualReport:
     """Residuals of the plain-pullback quasilinear transform theorem.
 
@@ -412,10 +390,9 @@ def check_theorem_nlaplace(ctx: KelvinContext, u: ScalarField, g: ScalarField,
             jet = ustar.jet(y)
         gnorm = float(np.sqrt(jet.gradient @ jet.gradient))
         value = finsler_n_laplacian(ctx.dual, jet, n)
-        flag = value.degenerate or gnorm < DEGENERATE_GRADIENT_TOL
-        return -value.value, flag
+        return -value.value, gnorm < DEGENERATE_GRADIENT_TOL
 
-    results = _pmap(lhs_at, list(pts), threads)
+    results = [lhs_at(y) for y in pts]
     rows = residual_rows(pts, [v for v, _ in results], rhs_vals,
                          flags=[fl for _, fl in results])
     report = ResidualReport(suite="theorem-nlaplace", tolerance=tolerance,
@@ -566,8 +543,7 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan,
 # inversion-map suite
 
 
-def run_kelvin_suite(spec: NormSpec, plan: SamplePlan,
-                     threads: int = 1) -> ResidualReport:
+def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     """Round trips, determinant lemma, and transport identities in one go."""
     tol = _path_tolerance(spec)
     ctx = KelvinContext(spec)
@@ -601,9 +577,8 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan,
     details["pullback_involution"] = float(e_inv)
     gates.append(e_inv <= tol)
 
-    if _is_quadratic_form(spec):
-        detm = (1.0 if isinstance(spec, EuclideanNorm)
-                else spec.matrix.det)
+    if spec.matrix is not None:
+        detm = spec.matrix.det
         inv = np.array([det_invariant(ctx, y) for y in pts])
         details["det_invariant"] = float(np.max(np.abs(inv - detm) / detm))
         gates.append(details["det_invariant"] <= TOL_LEMMA_DET)
@@ -760,8 +735,7 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem,
 # CLI-facing composite suites
 
 
-def run_semilinear_suite(spec: NormSpec, plan: SamplePlan,
-                         threads: int = 1) -> ResidualReport:
+def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     """Semilinear transform theorem: analytic residuals on two manufactured
     families, a numeric-jet convergence fit, the weak-form quadrature
     cross-check, and the transformed-source round trip."""
@@ -773,7 +747,7 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan,
     convergence = None
     for family in ("quadratic", "gaussian-bump"):
         prob = manufacture_semilinear(spec, family)
-        rep = check_theorem_semilinear(ctx, prob, plan, threads=threads,
+        rep = check_theorem_semilinear(ctx, prob, plan,
                                        convergence=(family == "quadratic"))
         rows.extend(rep.rows)
         details[f"max_rel[{family}]"] = rep.max_rel_residual()
@@ -813,8 +787,7 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan,
     return report
 
 
-def run_nlaplace_suite(spec: NormSpec, plan: SamplePlan,
-                       threads: int = 1) -> ResidualReport:
+def run_nlaplace_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     """Quasilinear transform theorem: exact zero case plus quadratic case
     with both analytic and numeric jets."""
     _require_quadratic_form(spec, "the quasilinear suite")
@@ -826,16 +799,14 @@ def run_nlaplace_suite(spec: NormSpec, plan: SamplePlan,
     gates = []
 
     u0, g0 = manufacture_nlaplace(spec, "affine")
-    rep0 = check_theorem_nlaplace(ctx, u0, g0, plan, threads=threads,
-                                  tolerance=TOL_SEMILINEAR)
+    rep0 = check_theorem_nlaplace(ctx, u0, g0, plan, tolerance=TOL_SEMILINEAR)
     rows.extend(rep0.rows)
     details["max_rel[affine]"] = rep0.max_rel_residual()
     gates.append(rep0.passed)
 
     u1, g1 = manufacture_nlaplace(spec, "quadratic")
     for mode in ("auto", "numeric"):
-        rep = check_theorem_nlaplace(ctx, u1, g1, plan, jet_mode=mode,
-                                     threads=threads)
+        rep = check_theorem_nlaplace(ctx, u1, g1, plan, jet_mode=mode)
         details[f"max_rel[quadratic,{mode}]"] = rep.max_rel_residual()
         details[f"flagged[quadratic,{mode}]"] = rep.flagged_count()
         gates.append(rep.passed)

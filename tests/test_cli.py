@@ -136,6 +136,17 @@ def test_bad_config_exit_code():
     assert main(["identities", "--norm", "riemannian:[[1,2],[2,1]]"]) == EXIT_CONFIG
     assert main(["identities", "--norm", "nonsense:1"]) == EXIT_CONFIG
     assert main(["nlaplace", "--norm", "euclidean:2"]) == EXIT_CONFIG
+    assert main(["semilinear", "--norm", "quartic"]) == EXIT_CONFIG
+    # the sample plan needs dim + 1 of the 12 Halton bases
+    assert main(["identities", "--norm", "euclidean:12"]) == EXIT_CONFIG
+
+
+def test_semilinear_dimension_5_reaches_a_verdict(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(["semilinear", "--norm", "euclidean:5", "--count", "10",
+                 "--out", str(out)])
+    assert code in (EXIT_PASS, EXIT_VERIFICATION)
+    assert json.loads(out.read_text())["suites"][0]["count"] == 20
 
 
 def test_io_error_exit_code(tmp_path):
@@ -170,6 +181,16 @@ def test_csv_and_table_formats(tmp_path):
                  "--out", str(out2)] + FAST)
     assert code == EXIT_PASS
     assert "PASS" in out2.read_text()
+
+
+def test_all_csv_rows_have_the_header_width(tmp_path):
+    out = tmp_path / "r.csv"
+    code = main(["all", "--norm", "euclidean:3", "--format", "csv",
+                 "--out", str(out)] + FAST)
+    assert code == EXIT_PASS
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x0,x1,x2,lhs,rhs,abs_residual,rel_residual,flag"
+    assert all(line.count(",") == 7 for line in lines)
 
 
 def test_json_reports_byte_identical_across_threads(tmp_path):

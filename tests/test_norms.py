@@ -252,6 +252,21 @@ def test_dual_spec_forms():
     assert dual_spec(nd) == QuarticNorm()
 
 
+def test_matrix_is_set_exactly_for_quadratic_forms(rng):
+    x = annulus_points(rng, 3, count=1)[0]
+    for spec in all_specs():
+        for s in (spec, dual_spec(spec)):
+            quadratic = isinstance(s, (EuclideanNorm, RiemannianNorm))
+            assert (s.matrix is not None) == quadratic
+            assert s.closed_form_dual == (s.matrix is not None)
+            if quadratic:
+                y = x[: s.dim]
+                assert eval_norm(s, y) == pytest.approx(
+                    np.sqrt(y @ s.matrix.entries @ y), rel=1e-14)
+    for dim in (2, 3, 5, 11):
+        assert EuclideanNorm(dim).matrix.det == 1.0
+
+
 def test_euclidean_equals_riemannian_identity(rng):
     eu = EuclideanNorm(3)
     ri = RiemannianNorm(np.eye(3))
