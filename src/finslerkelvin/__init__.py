@@ -53,7 +53,6 @@ from .norms import (
     parse_norm,
 )
 from .operators import (
-    JetRequest,
     NLaplaceValue,
     NumericJet,
     anisotropic_laplacian,

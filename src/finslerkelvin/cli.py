@@ -8,7 +8,8 @@ JSON artifacts.  `--threads` (config key `threads`) is still accepted and
 validated but has no effect: every suite runs on one thread.
 
 Exit codes: 0 all suites pass, 1 verification failure, 2 usage or
-configuration error, 3 I/O error.
+configuration error (including a configuration the suites cannot evaluate),
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 
-from .norms import NormSpec, parse_norm
-from .report import ResidualReport, render_csv, render_json, render_table
+from .norms import ConvergenceError, NormSpec, parse_norm
+from .report import REPORT_SCHEMA, ResidualReport, render_csv, render_json, render_table
 from .sampling import MAX_DIM
 from .verify import (
     SamplePlan,
@@ -240,7 +241,7 @@ def run(config: RunConfig) -> int:
         print(line)
 
     document = {
-        "schema": "report-v1",
+        "schema": REPORT_SCHEMA,
         "version": f"finslerkelvin {VERSION}",
         "config": config.to_dict(),
         "passed": all(r.passed for r in reports),
@@ -325,7 +326,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    return run(config)
+    try:
+        return run(config)
+    except (ValueError, ConvergenceError) as exc:
+        # a valid configuration the suites cannot evaluate (say, a stencil
+        # that would reach the origin) is not a verification failure
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":  # pragma: no cover

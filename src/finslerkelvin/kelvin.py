@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import ScalarField, norm_power_field
 from .norms import Jet2, NormSpec, dual_spec, eval_norm
-from .operators import JetRequest, numeric_jet
+from .operators import numeric_jet
 from .sampling import cube_directions
 
 __all__ = [
@@ -199,7 +199,7 @@ def _numeric_jet_field(dim: int, evaluate, name: str) -> ScalarField:
     """Field whose jet is the finite-difference jet of its own values."""
 
     def jet(y):
-        return numeric_jet(JetRequest(field=field, point=y))
+        return numeric_jet(field, y)
 
     field = ScalarField(dim, evaluate, jet=jet, name=name)
     return field

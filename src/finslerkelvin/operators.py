@@ -16,6 +16,7 @@ B(xi) = H^(N-1) D^2 H + (N-1) H^(N-2) gradH (x) gradH.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +25,6 @@ from .fields import ScalarField
 from .norms import EuclideanNorm, Jet2, NormSpec
 
 __all__ = [
-    "JetRequest",
     "NumericJet",
     "NLaplaceValue",
     "auto_step",
@@ -49,21 +49,6 @@ def auto_step(point) -> float:
 
 
 @dataclass(frozen=True)
-class JetRequest:
-    """What to differentiate, where, and how hard to refine.
-
-    `step` is either "auto" or an explicit base step used for every stencil.
-    `refinement` >= 1 is the number of Richardson levels; level k uses step
-    base * 2^k and the levels are extrapolated together.
-    """
-
-    field: ScalarField
-    point: np.ndarray
-    step: float | str = "auto"
-    refinement: int = 3
-
-
-@dataclass(frozen=True)
 class NumericJet(Jet2):
     """Jet with the extrapolation-difference error estimates attached."""
 
@@ -76,32 +61,6 @@ class NLaplaceValue(NamedTuple):
 
     value: float
     degenerate: bool
-
-
-def _stencil(field: ScalarField, x: np.ndarray, f0: float, h: float):
-    """One vectorised central-difference pass at step h.
-
-    Returns (gradient, hessian); the off-diagonal stencil is symmetric in
-    (i, j) so the Hessian is symmetric by construction.
-    """
-    n = x.shape[0]
-    pts = [x + h * e for e in np.eye(n)] + [x - h * e for e in np.eye(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in pairs:
-        ei, ej = np.zeros(n), np.zeros(n)
-        ei[i], ej[j] = h, h
-        pts += [x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
-    vals = np.asarray(field(np.array(pts)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"non-finite field value near {x.tolist()}")
-    fp, fm = vals[:n], vals[n : 2 * n]
-    grad = (fp - fm) / (2.0 * h)
-    hess = np.zeros((n, n))
-    np.fill_diagonal(hess, (fp - 2.0 * f0 + fm) / h**2)
-    for k, (i, j) in enumerate(pairs):
-        q = vals[2 * n + 4 * k : 2 * n + 4 * k + 4]
-        hess[i, j] = hess[j, i] = (q[0] - q[1] - q[2] + q[3]) / (4.0 * h**2)
-    return grad, hess
 
 
 def _richardson(values):
@@ -120,23 +79,49 @@ def _richardson(values):
     return r[-1], float(np.max(np.abs(r[-1] - r[-2])))
 
 
-def numeric_jet(req: JetRequest) -> NumericJet:
+@lru_cache(maxsize=None)
+def _offsets(n: int) -> np.ndarray:
+    """Central-difference stencil rows in units of the step.
+
+    Rows are +e_i, -e_i, then for each pair i < j the four corners
+    e_i+e_j, e_i-e_j, -e_i+e_j, -e_i-e_j; the first 2n rows alone give the
+    gradient and the diagonal of the Hessian.
+    """
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    cross = signs[:, 0, None, None] * eye[i] + signs[:, 1, None, None] * eye[j]
+    table = np.concatenate([eye, -eye, cross.transpose(1, 0, 2).reshape(-1, n)])
+    table.flags.writeable = False
+    return table
+
+
+def numeric_jet(field: ScalarField, point, step: float | str = "auto",
+                refinement: int = 3) -> NumericJet:
     """Central-difference jet with Richardson extrapolation.
+
+    `step` is either "auto" or an explicit base step used for every stencil.
+    `refinement` >= 1 is the number of Richardson levels; level k uses step
+    base * 2^k and the levels are extrapolated together.  At the auto step
+    the gradient uses a finer base step than the Hessian, so it takes only
+    the axis rows of the stencil.  Every stencil point of every level is
+    evaluated in one field call.
 
     The stencil at the largest level must not reach the origin (fields here
     are typically singular there); that raises instead of returning noise.
     """
-    x = np.asarray(req.point, dtype=float)
-    if x.shape != (req.field.dim,):
+    x = np.asarray(point, dtype=float)
+    n = field.dim
+    if x.shape != (n,):
         raise ValueError("point dimension does not match the field")
-    levels = int(req.refinement)
+    levels = int(refinement)
     if levels < 1:
         raise ValueError("refinement must be >= 1")
-    if req.step == "auto":
+    if step == "auto":
         hg = auto_step(x)
         hh = _HESS_STEP * max(1.0, float(np.sqrt(x @ x)))
     else:
-        hg = hh = float(req.step)
+        hg = hh = float(step)
         if hg <= 0.0:
             raise ValueError("step must be positive")
     reach = max(hg, hh) * 2.0 ** (levels - 1) * np.sqrt(2.0) * 1.000001
@@ -144,19 +129,37 @@ def numeric_jet(req: JetRequest) -> NumericJet:
         raise ValueError(
             f"stencil of reach {reach:.3g} would cross the origin at {x.tolist()}"
         )
-    f0 = float(req.field(x))
+    f0 = float(field(x))
     if not np.isfinite(f0):
         raise ValueError(f"non-finite field value at {x.tolist()}")
 
-    grad_levels, hess_levels = [], []
-    for k in reversed(range(levels)):  # coarse -> fine
-        g, hmat = _stencil(req.field, x, f0, hg * 2.0**k)
-        grad_levels.append(g)
-        if hh != hg:
-            _, hmat = _stencil(req.field, x, f0, hh * 2.0**k)
-        hess_levels.append(hmat)
-    grad, gerr = _richardson(grad_levels)
-    hess, herr = _richardson(hess_levels)
+    scale = 2.0 ** np.arange(levels - 1, -1, -1)[:, None]  # coarse -> fine
+    gs, hs = hg * scale, hh * scale
+    # libm pow, as in `h**2` on a Python float: it is not always correctly
+    # rounded, so hs * hs would move last bits of reported residuals.
+    hs2 = np.array([[h**2] for h in hs[:, 0].tolist()])
+    table = _offsets(n)
+    rows = hs[:, :, None] * table
+    if hg != hh:
+        rows = np.concatenate([rows, gs[:, :, None] * table[: 2 * n]], axis=1)
+    vals = np.asarray(field(x + rows.reshape(-1, n)), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"non-finite field value near {x.tolist()}")
+    vals = vals.reshape(levels, -1)
+    gvals = vals[:, -2 * n :] if hg != hh else vals
+    grad = (gvals[:, :n] - gvals[:, n : 2 * n]) / (2.0 * gs)
+
+    fp, fm = vals[:, :n], vals[:, n : 2 * n]
+    hess = np.zeros((levels, n, n))
+    idx = np.arange(n)
+    hess[:, idx, idx] = (fp - 2.0 * f0 + fm) / hs2
+    i, j = np.triu_indices(n, 1)
+    q = vals[:, 2 * n : len(table)].reshape(levels, -1, 4)
+    off = (q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3]) / (4.0 * hs2)
+    hess[:, i, j] = hess[:, j, i] = off
+
+    grad, gerr = _richardson(grad)
+    hess, herr = _richardson(hess)
     return NumericJet(f0, grad, 0.5 * (hess + hess.T), gerr, herr)
 
 

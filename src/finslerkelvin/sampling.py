@@ -13,16 +13,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_DIM = len(_PRIMES)
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    inv = 0.0
-    scale = 1.0 / base
-    while index > 0:
-        index, digit = divmod(index, base)
-        inv += digit * scale
-        scale /= base
-    return inv
-
-
 def halton(count: int, dim: int, skip: int = 0) -> np.ndarray:
     """First `count` Halton points in (0, 1)^dim, starting at index skip+1.
 
@@ -33,11 +23,16 @@ def halton(count: int, dim: int, skip: int = 0) -> np.ndarray:
         raise ValueError(f"halton supports at most {MAX_DIM} dimensions")
     if count < 0 or skip < 0:
         raise ValueError("count and skip must be non-negative")
-    out = np.empty((count, dim))
-    for i in range(count):
-        idx = skip + i + 1
-        for j in range(dim):
-            out[i, j] = _radical_inverse(idx, _PRIMES[j])
+    out = np.zeros((count, dim))
+    for j, base in enumerate(_PRIMES[:dim]):
+        # radical inverse of every index at once, digit by digit from the
+        # least significant; exhausted indices only add zero digits
+        rest = np.arange(skip + 1, skip + count + 1, dtype=np.int64)
+        scale = 1.0 / base
+        while np.any(rest > 0):
+            rest, digit = np.divmod(rest, base)
+            out[:, j] += digit * scale
+            scale /= base
     return out
 
 

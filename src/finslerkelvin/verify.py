@@ -60,7 +60,6 @@ from .norms import (
     eval_norm,
 )
 from .operators import (
-    JetRequest,
     anisotropic_laplacian,
     finsler_n_laplacian,
     numeric_jet,
@@ -114,6 +113,14 @@ DEGENERATE_GRADIENT_TOL = 1e-8
 QUARTIC_SPREAD_MIN = 0.999
 
 _HOMOG_SCALES = (-3.5, -1.25, -0.5, 0.75, 2.0, 7.5)
+# Plain central-difference steps of the semilinear convergence fit.
+_FD_STEPS = (0.08, 0.04, 0.02)
+# Directions in the determinant-invariant sweep of the counterexample scan.
+_SCAN_DIRECTIONS = 64
+# Weak-form cross-check: bump test-function radius (Euclidean) and the
+# difference step of its value-only gradients.
+_BUMP_RADIUS = 0.22
+_WEAK_FD_STEP = 1e-5
 
 
 def _path_tolerance(spec: NormSpec) -> float:
@@ -180,8 +187,8 @@ def _default_center(dim: int) -> np.ndarray:
     return np.array(([0.3, -0.2, 0.15, -0.1] + [0.0] * dim)[:dim])
 
 
-def manufacture_semilinear(spec: NormSpec, family: str = "quadratic",
-                           **params) -> ManufacturedProblem:
+def manufacture_semilinear(spec: NormSpec,
+                           family: str = "quadratic") -> ManufacturedProblem:
     """Pick u from a fixed family and derive f = -div(H gradH)(grad u).
 
     For quadratic-form norms the source is assembled in closed form (with
@@ -191,20 +198,14 @@ def manufacture_semilinear(spec: NormSpec, family: str = "quadratic",
     dim = spec.dim
     m = None if spec.matrix is None else spec.matrix.entries
     if family == "quadratic":
-        a = np.asarray(params.get("matrix", np.eye(dim)), dtype=float)
-        b = np.asarray(params.get("linear", np.zeros(dim)), dtype=float)
-        c = float(params.get("offset", 0.0))
-        u = quadratic_field(a, b, c, name="u-quadratic")
-        sym = 0.5 * (a + a.T)
+        u = quadratic_field(np.eye(dim), name="u-quadratic")
         if m is not None:
-            f = constant_field(dim, -2.0 * float(np.tensordot(m, sym)),
+            f = constant_field(dim, -2.0 * float(np.tensordot(m, np.eye(dim))),
                                name="f-quadratic")
             return ManufacturedProblem(u, f, spec, family)
     elif family == "gaussian-bump":
-        center = np.asarray(params.get("center", _default_center(dim)), float)
-        width = float(params.get("width", 1.2))
-        amplitude = float(params.get("amplitude", 1.0))
-        u = gaussian_field(center, width, amplitude, name="u-gaussian")
+        center, width = _default_center(dim), 1.2
+        u = gaussian_field(center, width, name="u-gaussian")
         if m is not None:
             w2 = width**2
             # -trace(M D^2 u) = u * (2 tr M / w^2 - 4 (x-c)^T M (x-c) / w^4)
@@ -218,19 +219,16 @@ def manufacture_semilinear(spec: NormSpec, family: str = "quadratic",
             f.name = "f-gaussian"
             return ManufacturedProblem(u, f, spec, family)
     elif family == "poly3":
-        a = np.asarray(params.get("cubic", 1.0 / (1.0 + np.arange(dim))), float)
-        b = np.asarray(params.get("matrix", 0.4 * np.eye(dim)), dtype=float)
-        cv = np.asarray(params.get("linear", np.zeros(dim)), dtype=float)
-        u = cubic_axis_field(a, b, cv, name="u-poly3")
+        a = 1.0 / (1.0 + np.arange(dim))
+        b = 0.4 * np.eye(dim)
+        u = cubic_axis_field(a, b, name="u-poly3")
         if m is not None:
-            bsym = 0.5 * (b + b.T)
             f = linear_field(-6.0 * a * np.diag(m),
-                             -2.0 * float(np.tensordot(m, bsym)),
+                             -2.0 * float(np.tensordot(m, b)),
                              name="f-poly3")
             return ManufacturedProblem(u, f, spec, family)
     elif family == "affine":
-        a = np.asarray(params.get("linear", np.arange(1.0, dim + 1.0)), float)
-        u = linear_field(a, float(params.get("offset", 0.0)), name="u-affine")
+        u = linear_field(np.arange(1.0, dim + 1.0), name="u-affine")
         f = constant_field(dim, 0.0, name="f-zero")
         return ManufacturedProblem(u, f, spec, family)
     else:
@@ -298,31 +296,30 @@ def _fit_order(steps, residuals) -> float:
     return float(np.polyfit(logs, logr, 1)[0])
 
 
-def _convergence_study(field: ScalarField, lhs_of_jet, rhs_values, points,
-                       steps=(0.08, 0.04, 0.02)) -> dict:
+def _convergence_study(field: ScalarField, lhs_of_jet, rhs_values,
+                       points) -> dict:
     """Residual vs plain central-difference step, with a fitted order.
 
     Uses refinement=1 so the truncation term is visible (the Richardson
     default would sit on the extrapolation floor immediately).
     """
     maxres = []
-    for h in steps:
+    for h in _FD_STEPS:
         worst = 0.0
         for y, rhs in zip(points, rhs_values):
-            jet = numeric_jet(JetRequest(field, y, step=h, refinement=1))
+            jet = numeric_jet(field, y, step=h, refinement=1)
             worst = max(worst, abs(lhs_of_jet(jet, y) - rhs))
         maxres.append(worst)
     return {
-        "steps": list(steps),
+        "steps": list(_FD_STEPS),
         "max_residuals": maxres,
-        "order": _fit_order(steps, maxres),
+        "order": _fit_order(_FD_STEPS, maxres),
     }
 
 
 def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
                              plan: SamplePlan, jet_mode: str = "auto",
-                             convergence: bool = False,
-                             tolerance: float = TOL_SEMILINEAR) -> ResidualReport:
+                             convergence: bool = False) -> ResidualReport:
     """Residuals of the weighted-pullback transform theorem.
 
     At each plan point y, the left side applies the dual-norm divergence
@@ -339,14 +336,14 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
 
     def lhs_at(y):
         if jet_mode == "numeric":
-            jet = numeric_jet(JetRequest(uhat, y))
+            jet = numeric_jet(uhat, y)
         else:
             jet = uhat.jet(y)
         return -anisotropic_laplacian(ctx.dual, jet)
 
     lhs_vals = [lhs_at(y) for y in pts]
     rows = residual_rows(pts, lhs_vals, rhs_vals)
-    report = ResidualReport(suite="theorem-semilinear", tolerance=tolerance,
+    report = ResidualReport(suite="theorem-semilinear", tolerance=TOL_SEMILINEAR,
                             rows=rows,
                             details={"family": prob.family,
                                      "jet_mode": jet_mode})
@@ -358,7 +355,7 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
             rhs_vals[sel],
             pts[sel],
         )
-    report.passed = report.max_rel_residual() <= tolerance and (
+    report.passed = report.max_rel_residual() <= TOL_SEMILINEAR and (
         report.convergence is None
         or report.convergence["order"] >= MIN_FD_ORDER
     )
@@ -385,7 +382,7 @@ def check_theorem_nlaplace(ctx: KelvinContext, u: ScalarField, g: ScalarField,
 
     def lhs_at(y):
         if jet_mode == "numeric":
-            jet = numeric_jet(JetRequest(ustar, y))
+            jet = numeric_jet(ustar, y)
         else:
             jet = ustar.jet(y)
         gnorm = float(np.sqrt(jet.gradient @ jet.gradient))
@@ -401,8 +398,7 @@ def check_theorem_nlaplace(ctx: KelvinContext, u: ScalarField, g: ScalarField,
     return report
 
 
-def check_fundamental_solution(spec: NormSpec, plan: SamplePlan,
-                               tolerance: float = TOL_FUNDAMENTAL) -> ResidualReport:
+def check_fundamental_solution(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     """H^(2-N) is annihilated by the dual-norm divergence operator."""
     _require_quadratic_form(spec, "the fundamental-solution check")
     dual = dual_spec(spec)
@@ -410,14 +406,13 @@ def check_fundamental_solution(spec: NormSpec, plan: SamplePlan,
     pts = plan.points(spec)
     lhs = [anisotropic_laplacian(dual, w.jet(p)) for p in pts]
     rows = residual_rows(pts, lhs, np.zeros(len(pts)))
-    report = ResidualReport(suite="fundamental-solution", tolerance=tolerance,
-                            rows=rows)
-    report.passed = report.max_rel_residual() <= tolerance
+    report = ResidualReport(suite="fundamental-solution",
+                            tolerance=TOL_FUNDAMENTAL, rows=rows)
+    report.passed = report.max_rel_residual() <= TOL_FUNDAMENTAL
     return report
 
 
-def check_proof_identities(spec: NormSpec, plan: SamplePlan,
-                           tolerance: float = TOL_PROOF_IDENTITY) -> ResidualReport:
+def check_proof_identities(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     """The two matrix transport identities behind the transform theorems.
 
     For quadratic-form norms and every y, xi, p (p standing in for a field
@@ -463,10 +458,10 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan,
             rows.append(PointResidual(tuple(y), float(lhs_a), float(rhs_a),
                                       float(abs(lhs_a - rhs_a)), rel_a))
     report = ResidualReport(
-        suite="proof-identities", tolerance=tolerance, rows=rows,
+        suite="proof-identities", tolerance=TOL_PROOF_IDENTITY, rows=rows,
         details={"norm_transport": worst_a, "gradient_transport": worst_b},
     )
-    report.passed = max(worst_a, worst_b) <= tolerance
+    report.passed = max(worst_a, worst_b) <= TOL_PROOF_IDENTITY
     return report
 
 
@@ -474,8 +469,7 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan,
 # identity suite
 
 
-def run_identity_suite(spec: NormSpec, plan: SamplePlan,
-                       tolerance: float | None = None) -> ResidualReport:
+def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     """Worst-case residuals of the first-order norm identities.
 
     Per point: Euler relation, absolute homogeneity, gradient
@@ -485,7 +479,7 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan,
     identity per point as its row and the per-identity worst cases in
     `details`.
     """
-    tol = _path_tolerance(spec) if tolerance is None else tolerance
+    tol = _path_tolerance(spec)
     dual = dual_spec(spec)
     c1, c2 = equivalence_constants(spec)
     pts = plan.points(spec)
@@ -612,8 +606,7 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
 # counterexample scan
 
 
-def run_counterexample_scan(spec: NormSpec | None = None,
-                            directions: int = 64) -> ResidualReport:
+def run_counterexample_scan(spec: NormSpec | None = None) -> ResidualReport:
     """Sweep of the determinant invariant H^(2N) |det DT| over directions.
 
     For the quartic norm the invariant must swing by at least the frozen
@@ -625,10 +618,10 @@ def run_counterexample_scan(spec: NormSpec | None = None,
         spec = QuarticNorm()
     ctx = KelvinContext(spec)
     if spec.dim == 2:
-        theta = 2.0 * np.pi * np.arange(directions) / directions
+        theta = 2.0 * np.pi * np.arange(_SCAN_DIRECTIONS) / _SCAN_DIRECTIONS
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     else:
-        dirs = cube_directions(directions, spec.dim, skip=7)
+        dirs = cube_directions(_SCAN_DIRECTIONS, spec.dim, skip=7)
         dirs /= np.sqrt(np.sum(dirs * dirs, axis=-1))[:, None]
     vals = np.array([det_invariant(ctx, d) for d in dirs])
     spread = float((vals.max() - vals.min()) / vals.min())
@@ -636,7 +629,7 @@ def run_counterexample_scan(spec: NormSpec | None = None,
         abs(det_invariant(ctx, 2.0 * d) - v) / v for d, v in zip(dirs, vals)
     )
     mean = float(vals.mean())
-    rows = residual_rows(dirs, vals, np.full(directions, mean))
+    rows = residual_rows(dirs, vals, np.full(_SCAN_DIRECTIONS, mean))
     details = {
         "invariant_min": float(vals.min()),
         "invariant_max": float(vals.max()),
@@ -679,9 +672,7 @@ def _bump(points: np.ndarray, center: np.ndarray, radius: float):
 
 
 def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem,
-                         boxes: int = 5, grid: int | None = None,
-                         radius: float = 0.22,
-                         fd_step: float = 1e-5) -> dict:
+                         boxes: int = 5) -> dict:
     """Midpoint-quadrature check of the transformed weak identity.
 
     Integrates  H^(4-2N) H°(p) <gradH°(p), grad psi>  against
@@ -692,15 +683,15 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem,
     """
     _require_quadratic_form(ctx.spec, "the weak-form cross-check")
     n = ctx.dim
-    if grid is None:
-        grid = 24 if n <= 3 else 10
+    grid = 24 if n <= 3 else 10
     centers = cube_directions(boxes, n, skip=29)
     centers = centers * (1.3 / np.asarray(ctx.spec.value(centers)))[:, None]
 
-    offsets = (np.arange(grid) + 0.5) / grid * 2.0 * radius - radius
+    offsets = ((np.arange(grid) + 0.5) / grid * 2.0 * _BUMP_RADIUS
+               - _BUMP_RADIUS)
     mesh = np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1)
     mesh = mesh.reshape(-1, n)
-    cell = (2.0 * radius / grid) ** n
+    cell = (2.0 * _BUMP_RADIUS / grid) ** n
 
     def ustar(points):
         return np.asarray(prob.u(kelvin_map(ctx, points)))
@@ -708,12 +699,12 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem,
     errors = []
     for c in centers:
         pts = mesh + c
-        psi, dpsi = _bump(pts, c, radius)
+        psi, dpsi = _bump(pts, c, _BUMP_RADIUS)
         p = np.empty_like(pts)
         for i in range(n):
             e = np.zeros(n)
-            e[i] = fd_step
-            p[:, i] = (ustar(pts + e) - ustar(pts - e)) / (2.0 * fd_step)
+            e[i] = _WEAK_FD_STEP
+            p[:, i] = (ustar(pts + e) - ustar(pts - e)) / (2.0 * _WEAK_FD_STEP)
         hy = np.asarray(ctx.spec.value(pts))
         hdual = np.asarray(ctx.dual.value(p))
         gdual = ctx.dual.gradient(p)

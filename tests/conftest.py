@@ -5,8 +5,13 @@ in the package's own differentiation or optimization code cannot confirm
 itself through the tests.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import finslerkelvin
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -95,3 +100,11 @@ def annulus_points(rng, dim, count=100, lo=0.5, hi=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def package_env():
+    """Subprocess environment whose PYTHONPATH imports the package under test."""
+    src = str(Path(finslerkelvin.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)

@@ -1,6 +1,8 @@
 """Configuration parsing, exit codes, and report artifacts."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +141,20 @@ def test_bad_config_exit_code():
     assert main(["semilinear", "--norm", "quartic"]) == EXIT_CONFIG
     # the sample plan needs dim + 1 of the 12 Halton bases
     assert main(["identities", "--norm", "euclidean:12"]) == EXIT_CONFIG
+
+
+def test_unevaluable_configuration_exits_2_without_traceback(package_env):
+    # the annulus hugs the origin, so the nlaplace numeric-jet stencil
+    # would cross it: the suite cannot be evaluated, which is not a
+    # verification failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslerkelvin", "nlaplace", "--norm",
+         "euclidean:3", "--count", "5", "--annulus", "1e-7,2e-7"],
+        capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: stencil")
+    assert "would cross the origin" in proc.stderr
 
 
 def test_semilinear_dimension_5_reaches_a_verdict(tmp_path):

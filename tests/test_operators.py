@@ -6,7 +6,6 @@ import pytest
 from finslerkelvin import (
     EuclideanNorm,
     Jet2,
-    JetRequest,
     QuarticNorm,
     RiemannianNorm,
     ScalarField,
@@ -173,7 +172,7 @@ def test_nlaplace_dimension_tied():
 
 def test_numeric_jet_polynomial_example():
     field = ScalarField(2, lambda p: p[..., 0] ** 2 * p[..., 1], name="x^2 y")
-    jet = numeric_jet(JetRequest(field, np.array([1.0, 2.0])))
+    jet = numeric_jet(field, np.array([1.0, 2.0]))
     assert jet.value == pytest.approx(2.0, abs=1e-14)
     assert np.allclose(jet.gradient, [4.0, 1.0], atol=1e-8)
     assert np.allclose(jet.hessian, [[4.0, 2.0], [2.0, 0.0]], atol=1e-8)
@@ -181,7 +180,7 @@ def test_numeric_jet_polynomial_example():
 
 def test_numeric_jet_constant_exact():
     field = ScalarField(3, lambda p: np.full(p.shape[:-1], 7.5), name="const")
-    jet = numeric_jet(JetRequest(field, np.array([0.4, -0.6, 1.0])))
+    jet = numeric_jet(field, np.array([0.4, -0.6, 1.0]))
     assert np.all(jet.gradient == 0.0)
     assert np.all(jet.hessian == 0.0)
 
@@ -193,7 +192,7 @@ def test_numeric_jet_matches_analytic_within_estimate(rng):
     ]
     for field in fields:
         for x in annulus_points(rng, 3, count=50):
-            nj = numeric_jet(JetRequest(field, x))
+            nj = numeric_jet(field, x)
             aj = field.jet(x)
             gerr = float(np.max(np.abs(nj.gradient - aj.gradient)))
             herr = float(np.max(np.abs(nj.hessian - aj.hessian)))
@@ -205,10 +204,10 @@ def test_numeric_jet_matches_analytic_within_estimate(rng):
 def test_numeric_jet_origin_stencil_rejected():
     field = ScalarField(2, lambda p: np.sum(p, axis=-1), name="sum")
     with pytest.raises(ValueError, match="origin"):
-        numeric_jet(JetRequest(field, np.array([1e-5, 0.0])))
+        numeric_jet(field, np.array([1e-5, 0.0]))
     # explicit large step pushes the stencil across the origin too
     with pytest.raises(ValueError, match="origin"):
-        numeric_jet(JetRequest(field, np.array([0.1, 0.0]), step=0.2))
+        numeric_jet(field, np.array([0.1, 0.0]), step=0.2)
 
 
 def test_numeric_jet_nonfinite_rejected():
@@ -218,16 +217,35 @@ def test_numeric_jet_nonfinite_rejected():
 
     field = ScalarField(2, evaluate, name="log x")
     with pytest.raises(ValueError, match="non-finite"):
-        numeric_jet(JetRequest(field, np.array([0.001, 1.0]), step=0.01,
-                               refinement=1))
+        numeric_jet(field, np.array([0.001, 1.0]), step=0.01,
+                    refinement=1)
 
 
 def test_numeric_jet_single_level():
     field = quadratic_field(np.eye(2))
-    jet = numeric_jet(JetRequest(field, np.array([1.0, 1.0]), step=1e-4,
-                                 refinement=1))
+    jet = numeric_jet(field, np.array([1.0, 1.0]), step=1e-4,
+                      refinement=1)
     assert np.allclose(jet.gradient, [2.0, 2.0], atol=1e-7)
     assert np.isnan(jet.gradient_error)
+
+
+def test_numeric_jet_evaluates_the_whole_stencil_in_one_call():
+    calls = []
+
+    def evaluate(p):
+        calls.append(p.reshape(-1, 3).shape[0])
+        return np.sum(p**2, axis=-1)
+
+    field = ScalarField(3, evaluate, name="counted")
+    x = np.array([0.7, -0.4, 1.1])
+    # f0, then 3 levels of 6 axis rows at the gradient step and 18 full
+    # rows at the Hessian step
+    numeric_jet(field, x)
+    assert calls == [1, 72]
+    calls.clear()
+    # one step for both derivatives: the full rows alone
+    numeric_jet(field, x, step=1e-3, refinement=1)
+    assert calls == [1, 18]
 
 
 def test_quartic_coefficient_route(rng):
