@@ -21,7 +21,8 @@ The dual norm is H°(x) = sup{<xi, x> : H(xi) <= 1}.  For quadratic-form
 norms it equals sqrt(<M^-1 x, x>); for the quartic norm ``dual_spec``
 returns a ``NumericDualNorm`` wrapper whose value is the Newton maximum,
 whose gradient is the maximizer (envelope property), and whose Hessian
-comes from implicit differentiation of the optimality system.
+comes from implicit differentiation of the optimality system.  The Newton
+solve runs over a whole batch of directions at once.
 
 Derivative identities enforced throughout (and exercised by the test
 suite): the Euler relation <grad H(x), x> = H(x), zero-homogeneity of the
@@ -69,11 +70,19 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, gradient, and Hessian of a scalar function at one point."""
+    """Value, gradient, and Hessian of a scalar function.
 
-    value: float
+    At one point the shapes are (), (d,) and (d, d), with a float value; at
+    a batch of n points they are (n,), (n, d) and (n, d, d).
+    """
+
+    value: float | np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
+
+
+def _jet(value, gradient, hessian) -> Jet2:
+    return Jet2(float(value) if np.ndim(value) == 0 else value, gradient, hessian)
 
 
 class SpdMatrix:
@@ -141,16 +150,52 @@ def _as_points(x, dim: int) -> np.ndarray:
 
 
 def _check_not_origin(x: np.ndarray) -> None:
-    if not np.any(x != 0.0):
+    if not x.any(axis=-1).all():
         raise ValueError("norm is not differentiable at the origin")
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis, rounded exactly as the 1-D ``a @ b`` is.
+
+    A stacked ``@`` over (..., 1, d) x (..., d, 1) operands runs the same
+    BLAS dot per row as the single-point product; ``einsum`` and ``sum``
+    round differently.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pointwise_form(pts: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<m x, x> per row, rounded as one 1-D ``np.einsum`` call rounds it.
+
+    Over a batch, and at one point of dimension >= 3, einsum adds the
+    products (x_i m_ij) x_j one at a time in row-major order.  At one point
+    in the plane it adds the two row sums instead, so a batch in the plane
+    spells that order out.
+    """
+    if pts.shape[-1] == 2:
+        p = pts[..., :, None] * m * pts[..., None, :]
+        return (p[..., 0, 0] + p[..., 0, 1]) + (p[..., 1, 0] + p[..., 1, 1])
+    return np.einsum("...i,ij,...j->...", pts, m, pts)
+
+
+def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x**p elementwise, rounded by the C library's pow like a Python float.
+
+    numpy's array power dispatches to SIMD code that differs from libm in
+    the last bit on about 5% of inputs on AVX-512 hosts; the quadratic-form
+    jets keep the rounding of their scalar form.
+    """
+    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 class NormSpec:
     """Shared contract for the built-in norms.
 
-    ``value`` and ``gradient`` broadcast over leading axes; ``jet`` is
-    single-point.  Instances are immutable after construction and every
-    method is a pure function, so specs can be shared freely across threads.
+    ``value`` and ``gradient`` broadcast over leading axes.  ``jet`` takes
+    one point of shape (d,) or a batch of shape (n, d) and returns one
+    :class:`Jet2` of the matching shapes; it refuses a batch with any zero
+    row.  Instances are immutable after construction and every method is a
+    pure function, so specs can be shared freely across threads.
 
     ``matrix`` is M for quadratic-form norms H(x) = sqrt(<Mx, x>) and None
     for every other norm.  It is the one answer to "does the transform
@@ -180,6 +225,22 @@ class NormSpec:
         """Dual norm H°(x), without materializing the dual spec."""
         raise NotImplementedError
 
+    def pointwise_value(self, x):
+        """``value`` at every row of a batch, each rounded as ``value``
+        rounds that row alone.
+
+        ``RiemannianNorm`` overrides this (see ``_pointwise_form``) so that
+        quadratic-form reports keep their bytes.  Elsewhere it is ``value``;
+        for ``QuarticNorm`` numpy's array ``**`` may round a batch row
+        differently from one point in the last bit.
+        """
+        return self.value(x)
+
+    def pointwise_dual_value(self, x):
+        """``dual_value`` at every row, as ``pointwise_value`` is for
+        ``value``."""
+        return self.dual_value(x)
+
     def canonical(self) -> str:
         raise NotImplementedError
 
@@ -207,6 +268,10 @@ class RiemannianNorm(NormSpec):
         q = np.einsum("...i,ij,...j->...", pts, self.matrix.entries, pts)
         return np.sqrt(np.maximum(q, 0.0))
 
+    def pointwise_value(self, x):
+        pts = _as_points(x, self.dim)
+        return np.sqrt(np.maximum(_pointwise_form(pts, self.matrix.entries), 0.0))
+
     def gradient(self, x):
         pts = _as_points(x, self.dim)
         mx = pts @ self.matrix.entries
@@ -216,11 +281,12 @@ class RiemannianNorm(NormSpec):
     def jet(self, x) -> Jet2:
         pts = _as_points(x, self.dim)
         _check_not_origin(pts)
-        mx = self.matrix.entries @ pts
-        h = float(np.sqrt(pts @ mx))
-        grad = mx / h
-        hess = self.matrix.entries / h - np.outer(mx, mx) / h**3
-        return Jet2(h, grad, hess)
+        # column-vector form: each stacked product rounds like the 1-D one
+        m = self.matrix.entries
+        mx = m @ pts[..., None]
+        h = np.sqrt(pts[..., None, :] @ mx)
+        hess = m / h - mx * np.swapaxes(mx, -1, -2) / _libm_pow(h, 3)
+        return _jet(h[..., 0, 0], (mx / h)[..., 0], hess)
 
     def dual(self) -> "RiemannianNorm":
         return RiemannianNorm(SpdMatrix(self.matrix.inverse))
@@ -229,6 +295,10 @@ class RiemannianNorm(NormSpec):
         pts = _as_points(x, self.dim)
         q = np.einsum("...i,ij,...j->...", pts, self.matrix.inverse, pts)
         return np.sqrt(np.maximum(q, 0.0))
+
+    def pointwise_dual_value(self, x):
+        pts = _as_points(x, self.dim)
+        return np.sqrt(np.maximum(_pointwise_form(pts, self.matrix.inverse), 0.0))
 
     def canonical(self) -> str:
         return "riemannian:" + json.dumps(
@@ -257,10 +327,10 @@ class EuclideanNorm(NormSpec):
     def jet(self, x) -> Jet2:
         pts = _as_points(x, self.dim)
         _check_not_origin(pts)
-        h = float(np.sqrt(pts @ pts))
+        h = np.sqrt(row_dot(pts, pts))[..., None]
         grad = pts / h
-        hess = (np.eye(self.dim) - np.outer(grad, grad)) / h
-        return Jet2(h, grad, hess)
+        hess = np.eye(self.dim) - grad[..., :, None] * grad[..., None, :]
+        return _jet(h[..., 0], grad, hess / h[..., None])
 
     def dual(self) -> "EuclideanNorm":
         return EuclideanNorm(self.dim)
@@ -285,40 +355,42 @@ class QuarticNorm(NormSpec):
         self.dim = 2
 
     @staticmethod
-    def _poly(pts):
-        x1, x2 = pts[..., 0], pts[..., 1]
+    def _poly(x1, x2):
         return x1**4 + 3.0 * x1**2 * x2**2 + x2**4
+
+    @staticmethod
+    def _poly_gradient(x1, x2):
+        return np.stack(
+            [4.0 * x1**3 + 6.0 * x1 * x2**2, 6.0 * x1**2 * x2 + 4.0 * x2**3],
+            axis=-1,
+        )
 
     def value(self, x):
         pts = _as_points(x, 2)
-        return self._poly(pts) ** 0.25
+        return self._poly(pts[..., 0], pts[..., 1]) ** 0.25
 
     def gradient(self, x):
         pts = _as_points(x, 2)
         x1, x2 = pts[..., 0], pts[..., 1]
-        q = self._poly(pts)
-        gq = np.stack(
-            [4.0 * x1**3 + 6.0 * x1 * x2**2, 6.0 * x1**2 * x2 + 4.0 * x2**3],
-            axis=-1,
-        )
-        return 0.25 * q[..., None] ** -0.75 * gq
+        q = self._poly(x1, x2)
+        return 0.25 * q[..., None] ** -0.75 * self._poly_gradient(x1, x2)
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, 2)
         _check_not_origin(pts)
-        x1, x2 = float(pts[0]), float(pts[1])
-        q = x1**4 + 3.0 * x1**2 * x2**2 + x2**4
-        gq = np.array([4.0 * x1**3 + 6.0 * x1 * x2**2, 6.0 * x1**2 * x2 + 4.0 * x2**3])
-        hq = np.array(
-            [
-                [12.0 * x1**2 + 6.0 * x2**2, 12.0 * x1 * x2],
-                [12.0 * x1 * x2, 6.0 * x1**2 + 12.0 * x2**2],
-            ]
-        )
-        value = q**0.25
-        grad = 0.25 * q**-0.75 * gq
-        hess = 0.25 * q**-0.75 * hq - 0.1875 * q**-1.75 * np.outer(gq, gq)
-        return Jet2(value, grad, hess)
+        # one point unpacks to numpy scalars, whose ** rounds like libm's pow
+        x1, x2 = np.moveaxis(pts, -1, 0)
+        q = self._poly(x1, x2)
+        gq = self._poly_gradient(x1, x2)
+        off = 12.0 * x1 * x2
+        hq = np.stack(
+            [12.0 * x1**2 + 6.0 * x2**2, off, off, 6.0 * x1**2 + 12.0 * x2**2],
+            axis=-1,
+        ).reshape(pts.shape + (2,))
+        w1 = (0.25 * q**-0.75)[..., None]
+        w2 = (0.1875 * q**-1.75)[..., None, None]
+        hess = w1[..., None] * hq - w2 * (gq[..., :, None] * gq[..., None, :])
+        return _jet(q**0.25, w1 * gq, hess)
 
     def dual(self) -> "NumericDualNorm":
         return NumericDualNorm(self)
@@ -348,29 +420,24 @@ class NumericDualNorm(NormSpec):
 
     def gradient(self, x):
         pts = _as_points(x, self.dim)
-        flat = pts.reshape(-1, self.dim)
-        out = np.empty_like(flat)
-        for i, p in enumerate(flat):
-            _, xi, _ = _support_point(self.primal, p)
-            out[i] = xi
-        return out.reshape(pts.shape)
+        _, xi, _ = _support_points(self.primal, pts.reshape(-1, self.dim))
+        return xi.reshape(pts.shape)
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, self.dim)
         _check_not_origin(pts)
-        scale = float(np.sqrt(pts @ pts))
-        unit = pts / scale
-        lam, xi, _ = _support_point(self.primal, unit)
-        pj = self.primal.jet(xi)
         n = self.dim
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = lam * pj.hessian
-        kkt[:n, n] = pj.gradient
-        kkt[n, :n] = pj.gradient
-        rhs = np.vstack([np.eye(n), np.zeros(n)])
-        sol = np.linalg.solve(kkt, rhs)
-        hess = sol[:n] / scale
-        return Jet2(lam * scale, xi.copy(), 0.5 * (hess + hess.T))
+        flat = pts.reshape(-1, n)
+        scale = np.sqrt(row_dot(flat, flat))
+        lam, xi, _ = _support_points(self.primal, flat / scale[:, None])
+        pj = self.primal.jet(xi)
+        kkt = _kkt_matrices(lam, pj.gradient, pj.hessian)
+        rhs = np.broadcast_to(np.vstack([np.eye(n), np.zeros(n)]),
+                              (len(flat), n + 1, n))
+        hess = np.linalg.solve(kkt, rhs)[:, :n] / scale[:, None, None]
+        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        return _jet((lam * scale).reshape(pts.shape[:-1]), xi.reshape(pts.shape),
+                    hess.reshape(pts.shape + (n,)))
 
     def dual(self) -> NormSpec:
         # Biduality: the dual of the dual is the primal norm again.
@@ -383,69 +450,99 @@ class NumericDualNorm(NormSpec):
         return f"dual({self.primal.canonical()})"
 
 
-def _support_point(spec: NormSpec, x: np.ndarray):
-    """Maximize <xi, x> over the unit sphere {H(xi) = 1} of `spec`.
+def _kkt_matrices(lam, grad, hess) -> np.ndarray:
+    """Stacked (n, d+1, d+1) Jacobians of the stationarity system."""
+    n, d = grad.shape
+    kkt = np.zeros((n, d + 1, d + 1))
+    kkt[:, :d, :d] = lam[:, None, None] * hess
+    kkt[:, :d, d] = grad
+    kkt[:, d, :d] = grad
+    return kkt
+
+
+def _kkt_residual(xh, lam, jet: Jet2) -> np.ndarray:
+    return np.concatenate(
+        [xh - lam[:, None] * jet.gradient, (1.0 - jet.value)[:, None]], axis=1
+    )
+
+
+def _support_points(spec: NormSpec, x: np.ndarray):
+    """Maximize <xi, x> over the unit sphere {H(xi) = 1} of `spec`, per row.
 
     Newton iteration on the stationarity system
 
         x - lam * grad H(xi) = 0,    H(xi) = 1,
 
-    warm-started at xi = x / H(x).  Returns (lam, xi, iterations); lam is
-    both the multiplier and the maximum value.  The problem is scaled to
-    |x| = 1 internally so the KKT tolerance is meaningful across inputs.
+    warm-started at xi = x / H(x), for every row of `x` (shape (n, d)) at
+    once.  Each iteration solves the KKT systems of the rows still active
+    as one stack; a row leaves the active set once its residual meets the
+    tolerance, and its step is halved (at most 20 times) while its residual
+    fails to shrink.  Returns (lam, xi, iterations) of shapes (n,), (n, d)
+    and (n,); lam is both the multiplier and the maximum value.  Every row
+    is scaled to |x| = 1 internally so the KKT tolerance is meaningful
+    across inputs.  Raises ConvergenceError naming the first row that does
+    not converge.
     """
-    scale = float(np.sqrt(x @ x))
-    if scale == 0.0:
+    scale = np.sqrt(row_dot(x, x))
+    if np.any(scale == 0.0):
         raise ValueError("support maximization needs a nonzero direction")
-    xh = x / scale
+    xh = x / scale[:, None]
     n = spec.dim
-    xi = xh / float(spec.value(xh))
-    lam = float(xi @ xh)
-
-    def kkt_residual(xi_, lam_, jet_):
-        return np.concatenate([xh - lam_ * jet_.gradient, [1.0 - jet_.value]])
-
+    xi = xh / spec.value(xh)[:, None]
+    lam = row_dot(xi, xh)
     j = spec.jet(xi)
-    resid = kkt_residual(xi, lam, j)
+    grad, hess, resid = j.gradient, j.hessian, _kkt_residual(xh, lam, j)
+    iters = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
     for it in range(NEWTON_MAX_ITER):
-        rnorm = float(np.max(np.abs(resid)))
-        if rnorm <= NEWTON_KKT_TOL:
-            return lam * scale, xi, it
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = lam * j.hessian
-        kkt[:n, n] = j.gradient
-        kkt[n, :n] = j.gradient
-        step = np.linalg.solve(kkt, resid)
-        # damped update: halve the step while the residual fails to shrink
+        rnorm = np.max(np.abs(resid[active]), axis=1)
+        done = rnorm <= NEWTON_KKT_TOL
+        iters[active[done]] = it
+        converged[active[done]] = True
+        active, rnorm = active[~done], rnorm[~done]
+        if active.size == 0:
+            break
+        kkt = _kkt_matrices(lam[active], grad[active], hess[active])
+        step = np.linalg.solve(kkt, resid[active][..., None])[..., 0]
+        # damped update; `todo` holds the positions in `active` still halving
+        todo = np.arange(active.size)
         t = 1.0
         for _ in range(20):
-            xi_try = xi + t * step[:n]
-            lam_try = lam + t * step[n]
-            if np.any(xi_try != 0.0):
-                j_try = spec.jet(xi_try)
-                r_try = kkt_residual(xi_try, lam_try, j_try)
-                if float(np.max(np.abs(r_try))) < rnorm:
-                    xi, lam, j, resid = xi_try, lam_try, j_try, r_try
+            rows = active[todo]
+            xi_try = xi[rows] + t * step[todo, :n]
+            lam_try = lam[rows] + t * step[todo, n]
+            live = np.flatnonzero(np.any(xi_try != 0.0, axis=1))
+            if live.size:
+                j_try = spec.jet(xi_try[live])
+                r_try = _kkt_residual(xh[rows[live]], lam_try[live], j_try)
+                take = np.max(np.abs(r_try), axis=1) < rnorm[todo[live]]
+                acc = live[take]
+                r = rows[acc]
+                xi[r], lam[r], resid[r] = xi_try[acc], lam_try[acc], r_try[take]
+                grad[r], hess[r] = j_try.gradient[take], j_try.hessian[take]
+                todo = np.delete(todo, acc)
+                if todo.size == 0:
                     break
             t *= 0.5
-        else:
-            break
-    raise ConvergenceError(
-        f"support maximization did not converge in {NEWTON_MAX_ITER} iterations "
-        f"for direction {x.tolist()}"
-    )
+        # no halving shrank these rows' residuals: they cannot converge
+        active = np.delete(active, todo)
+    if not converged.all():
+        bad = x[np.argmin(converged)]
+        raise ConvergenceError(
+            f"support maximization did not converge in {NEWTON_MAX_ITER} "
+            f"iterations for direction {bad.tolist()}"
+        )
+    return lam * scale, xi, iters
 
 
 def _support_values(spec: NormSpec, x):
-    """Vectorised dual-norm values via `_support_point` (zero maps to 0)."""
+    """Dual-norm values via one `_support_points` solve (zero maps to 0)."""
     pts = _as_points(x, spec.dim)
     flat = pts.reshape(-1, spec.dim)
-    out = np.empty(flat.shape[0])
-    for i, p in enumerate(flat):
-        if not np.any(p != 0.0):
-            out[i] = 0.0
-        else:
-            out[i], _, _ = _support_point(spec, p)
+    out = np.zeros(flat.shape[0])
+    nonzero = np.any(flat != 0.0, axis=1)
+    out[nonzero] = _support_points(spec, flat[nonzero])[0]
     return out.reshape(pts.shape[:-1]) if pts.ndim > 1 else float(out[0])
 
 
@@ -460,7 +557,7 @@ def eval_norm(spec: NormSpec, x):
 
 
 def norm_jet(spec: NormSpec, x) -> Jet2:
-    """Value, gradient, and Hessian of H at a single nonzero point."""
+    """Value, gradient, and Hessian of H at one nonzero point or a batch."""
     return spec.jet(x)
 
 
@@ -506,7 +603,7 @@ def equivalence_constants(spec: NormSpec) -> tuple[float, float]:
     ratio = np.asarray(spec.value(dirs)) / lens
     slack = 1e-10
     if np.any(ratio < c1 * (1.0 - slack)) or np.any(ratio > c2 * (1.0 + slack)):
-        raise AssertionError("equivalence constants violated on sample directions")
+        raise ValueError("equivalence constants violated on sample directions")
     return c1, c2
 
 
@@ -537,18 +634,12 @@ def check_ellipticity(spec: NormSpec, samples: int = 256) -> float:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     dirs = cube_directions(samples, spec.dim, skip=3)
-    h = np.asarray(spec.value(dirs))
-    worst = np.inf
-    for i in range(samples):
-        xi = dirs[i] / h[i]
-        j = spec.jet(xi)
-        g = j.gradient / np.sqrt(j.gradient @ j.gradient)
-        # orthonormal basis of the tangent space grad^perp via SVD
-        _, _, vh = np.linalg.svd(g[None, :])
-        tangent = vh[1:].T
-        sub = tangent.T @ j.hessian @ tangent
-        worst = min(worst, float(np.linalg.eigvalsh(sub)[0]))
-    return worst
+    j = spec.jet(dirs / np.asarray(spec.value(dirs))[:, None])
+    g = j.gradient / np.sqrt(row_dot(j.gradient, j.gradient))[:, None]
+    # orthonormal bases (as rows) of the tangent spaces grad^perp via SVD
+    tangent = np.linalg.svd(g[:, None, :])[2][:, 1:]
+    sub = tangent @ j.hessian @ np.swapaxes(tangent, -1, -2)
+    return float(np.min(np.linalg.eigvalsh(sub)[:, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ and every identity above becomes a computable residual with no unknowns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,7 @@ from .norms import (
     dual_spec,
     equivalence_constants,
     eval_norm,
+    row_dot,
 )
 from .operators import (
     anisotropic_laplacian,
@@ -483,50 +483,47 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     dual = dual_spec(spec)
     c1, c2 = equivalence_constants(spec)
     pts = plan.points(spec)
+    idx = np.arange(len(pts))
+    scales = np.array(_HOMOG_SCALES)
+    j = spec.jet(pts)
+    jd = dual.jet(pts)
+    h = j.value
+
+    def worst_component(got, want):
+        k = np.argmax(np.abs(got - want), axis=1)
+        return got[idx, k], want[idx, k]
+
+    s = scales[idx % len(scales)]
+    t = scales[(idx + 3) % len(scales)]
+    ratio = h / np.sqrt(row_dot(pts, pts))
+    ones = np.ones(len(pts))
+    # one (lhs, rhs) column pair per identity; in a tie, the row keeps the
+    # first listed (np.argmax takes the first maximum)
+    entries = [
+        ("euler", row_dot(j.gradient, pts), h),
+        ("homogeneity", spec.pointwise_value(s[:, None] * pts), np.abs(s) * h),
+        ("gradient_zero_homogeneity",
+         *worst_component(spec.jet(t[:, None] * pts).gradient,
+                          np.copysign(1.0, t)[:, None] * j.gradient)),
+        ("unit_duality", spec.pointwise_value(jd.gradient), ones),
+        ("unit_duality", spec.pointwise_dual_value(j.gradient), ones),
+        ("inverse_duality",
+         *worst_component(h[:, None] * dual.jet(j.gradient).gradient, pts)),
+        ("inverse_duality",
+         *worst_component(jd.value[:, None] * spec.jet(jd.gradient).gradient, pts)),
+        ("equivalence", ratio, np.clip(ratio, c1, c2)),
+        ("bidual", dual.pointwise_dual_value(pts), h),
+    ]
+    lhs = np.stack([e[1] for e in entries], axis=1)
+    rhs = np.stack([e[2] for e in entries], axis=1)
+    rel = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     worst: dict[str, float] = {}
-    rows = []
-    for idx, x in enumerate(pts):
-        j = spec.jet(x)
-        jd = dual.jet(x)
-        h = j.value
-        entries = []
-
-        entries.append(("euler", float(j.gradient @ x), h))
-
-        s = _HOMOG_SCALES[idx % len(_HOMOG_SCALES)]
-        entries.append(("homogeneity", eval_norm(spec, s * x), abs(s) * h))
-
-        t = _HOMOG_SCALES[(idx + 3) % len(_HOMOG_SCALES)]
-        gt = spec.jet(t * x).gradient
-        expected = math.copysign(1.0, t) * j.gradient
-        k = int(np.argmax(np.abs(gt - expected)))
-        entries.append(("gradient_zero_homogeneity", float(gt[k]),
-                        float(expected[k])))
-
-        entries.append(("unit_duality", eval_norm(spec, jd.gradient), 1.0))
-        entries.append(("unit_duality", dual_norm(spec, j.gradient), 1.0))
-
-        v1 = h * dual.jet(j.gradient).gradient
-        k = int(np.argmax(np.abs(v1 - x)))
-        entries.append(("inverse_duality", float(v1[k]), float(x[k])))
-        v2 = jd.value * spec.jet(jd.gradient).gradient
-        k = int(np.argmax(np.abs(v2 - x)))
-        entries.append(("inverse_duality", float(v2[k]), float(x[k])))
-
-        ratio = h / float(np.sqrt(x @ x))
-        entries.append(("equivalence", ratio, float(np.clip(ratio, c1, c2))))
-
-        entries.append(("bidual", dual_norm(dual, x), h))
-
-        best = None
-        for name, lhs, rhs in entries:
-            rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-            worst[name] = max(worst.get(name, 0.0), rel)
-            if best is None or rel > best[0]:
-                best = (rel, lhs, rhs)
-        rows.append(PointResidual(tuple(x), float(best[1]), float(best[2]),
-                                  float(abs(best[1] - best[2])), float(best[0])))
-    report = ResidualReport(suite="identities", tolerance=tol, rows=rows,
+    for col, (name, _, _) in enumerate(entries):
+        worst[name] = max(worst.get(name, 0.0), float(np.max(rel[:, col])))
+    best = np.argmax(rel, axis=1)
+    report = ResidualReport(suite="identities", tolerance=tol,
+                            rows=residual_rows(pts, lhs[idx, best],
+                                               rhs[idx, best]),
                             details=dict(sorted(worst.items())))
     report.details["equivalence_constants"] = [c1, c2]
     report.passed = max(worst.values()) <= tol

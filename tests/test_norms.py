@@ -128,6 +128,79 @@ def test_norm_jet_rejects_origin():
             norm_jet(spec, np.zeros(spec.dim))
 
 
+QUADRATIC_BATCH_SPECS = [
+    EuclideanNorm(2),
+    EuclideanNorm(5),
+    DIAG41,
+    RiemannianNorm(random_spd_matrix(2, seed=7)),
+    RiemannianNorm(random_spd_matrix(3, seed=7)),
+    RiemannianNorm(random_spd_matrix(5, seed=3)),
+]
+
+
+def _jet_rows(spec, pts):
+    return [norm_jet(spec, x) for x in pts]
+
+
+@pytest.mark.parametrize("spec", QUADRATIC_BATCH_SPECS)
+def test_batched_quadratic_jets_equal_single_point_jets_bitwise(spec, rng):
+    pts = annulus_points(rng, spec.dim, count=200)
+    batch = norm_jet(spec, pts)
+    d = spec.dim
+    assert batch.value.shape == (200,)
+    assert batch.gradient.shape == (200, d)
+    assert batch.hessian.shape == (200, d, d)
+    for k, j in enumerate(_jet_rows(spec, pts)):
+        assert type(j.value) is float
+        assert j.value == batch.value[k]
+        assert np.array_equal(j.gradient, batch.gradient[k])
+        assert np.array_equal(j.hessian, batch.hessian[k])
+
+
+@pytest.mark.parametrize("spec", [QuarticNorm(), dual_spec(QuarticNorm())])
+def test_batched_jets_match_single_point_jets(spec, rng):
+    pts = annulus_points(rng, 2, count=200)
+    batch = norm_jet(spec, pts)
+    assert batch.hessian.shape == (200, 2, 2)
+    for k, j in enumerate(_jet_rows(spec, pts)):
+        assert abs(batch.value[k] - j.value) <= 1e-14 * j.value
+        for got, want in ((batch.gradient[k], j.gradient),
+                          (batch.hessian[k], j.hessian)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_batched_jet_rejects_a_zero_row(rng):
+    for spec in all_specs():
+        pts = annulus_points(rng, spec.dim, count=5)
+        pts[3] = 0.0
+        with pytest.raises(ValueError, match="origin"):
+            norm_jet(spec, pts)
+
+
+@pytest.mark.parametrize("spec", QUADRATIC_BATCH_SPECS)
+def test_pointwise_values_round_like_single_points(spec, rng):
+    # one 1-D einsum call rounds a point in the plane differently from a
+    # batch row; the pointwise forms must reproduce the single-point bits
+    pts = annulus_points(rng, spec.dim, count=300)
+    want = [eval_norm(spec, x) for x in pts]
+    want_dual = [dual_norm(spec, x) for x in pts]
+    assert np.array_equal(spec.pointwise_value(pts), want)
+    assert np.array_equal(spec.pointwise_dual_value(pts), want_dual)
+
+
+def test_support_values_map_zero_rows_to_zero(rng):
+    q = QuarticNorm()
+    pts = annulus_points(rng, 2, count=6)
+    pts[[0, 4]] = 0.0
+    for spec in (q, dual_spec(q)):
+        vals = spec.dual_value(pts)
+        assert vals.shape == (6,)
+        assert vals[0] == vals[4] == 0.0
+        for k in (1, 2, 3, 5):
+            assert vals[k] == pytest.approx(spec.dual_value(pts[k]), rel=1e-14)
+        assert np.array_equal(spec.dual_value(np.zeros((3, 2))), np.zeros(3))
+
+
 def test_jets_match_richardson_fd(rng):
     for spec in all_specs():
         f = lambda p: float(eval_norm(spec, p))
@@ -294,6 +367,17 @@ def test_equivalence_constants_riemannian():
 
 def test_equivalence_constants_euclidean():
     assert equivalence_constants(EuclideanNorm(4)) == (1.0, 1.0)
+
+
+def test_equivalence_constants_reject_a_norm_that_breaks_them():
+    class Doubled(RiemannianNorm):
+        """Reports 2 H(x), outside the eigenvalue bounds of its matrix."""
+
+        def value(self, x):
+            return 2.0 * super().value(x)
+
+    with pytest.raises(ValueError, match="equivalence constants violated"):
+        equivalence_constants(Doubled(DIAG41.matrix))
 
 
 def test_equivalence_constants_quartic(rng):

@@ -16,6 +16,10 @@ from finslerkelvin import (
     check_theorem_nlaplace,
     check_theorem_semilinear,
     constant_field,
+    dual_norm,
+    dual_spec,
+    equivalence_constants,
+    eval_norm,
     kelvin_map,
     manufacture_nlaplace,
     manufacture_semilinear,
@@ -288,6 +292,66 @@ def test_identity_suite_closed_form():
         for key in ("euler", "homogeneity", "unit_duality", "inverse_duality",
                     "equivalence", "bidual", "gradient_zero_homogeneity"):
             assert key in rep.details
+
+
+def reference_identity_rows(spec, plan):
+    """The per-point loop that `run_identity_suite` evaluates by column:
+    rows (point, lhs, rhs, rel) and the per-identity worst residuals."""
+    scales = (-3.5, -1.25, -0.5, 0.75, 2.0, 7.5)
+    dual = dual_spec(spec)
+    c1, c2 = equivalence_constants(spec)
+    worst, rows = {}, []
+    for idx, x in enumerate(plan.points(spec)):
+        j, jd = spec.jet(x), dual.jet(x)
+        h = j.value
+        s, t = scales[idx % 6], scales[(idx + 3) % 6]
+        entries = [("euler", float(j.gradient @ x), h),
+                   ("homogeneity", eval_norm(spec, s * x), abs(s) * h)]
+        gt, expected = spec.jet(t * x).gradient, np.copysign(1.0, t) * j.gradient
+        k = int(np.argmax(np.abs(gt - expected)))
+        entries.append(("gradient_zero_homogeneity", gt[k], expected[k]))
+        entries.append(("unit_duality", eval_norm(spec, jd.gradient), 1.0))
+        entries.append(("unit_duality", dual_norm(spec, j.gradient), 1.0))
+        for v in (h * dual.jet(j.gradient).gradient,
+                  jd.value * spec.jet(jd.gradient).gradient):
+            k = int(np.argmax(np.abs(v - x)))
+            entries.append(("inverse_duality", v[k], x[k]))
+        ratio = h / float(np.sqrt(x @ x))
+        entries.append(("equivalence", ratio, float(np.clip(ratio, c1, c2))))
+        entries.append(("bidual", dual_norm(dual, x), h))
+        best = None
+        for name, lhs, rhs in entries:
+            rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+            worst[name] = max(worst.get(name, 0.0), rel)
+            if best is None or rel > best[2]:
+                best = (lhs, rhs, rel)
+        rows.append((tuple(x), *best))
+    return rows, worst
+
+
+@pytest.mark.parametrize("spec", [
+    EuclideanNorm(3),
+    RiemannianNorm(random_spd_matrix(2, seed=7)),
+    RiemannianNorm(random_spd_matrix(4, seed=5)),
+])
+def test_identity_suite_columns_reproduce_the_point_loop_bitwise(spec):
+    plan = SamplePlan(count=150, seed=3)
+    rep = run_identity_suite(spec, plan)
+    rows, worst = reference_identity_rows(spec, plan)
+    assert [(r.point, r.lhs, r.rhs, r.rel_residual) for r in rep.rows] == rows
+    assert {k: rep.details[k] for k in worst} == worst
+
+
+def test_identity_suite_columns_match_the_point_loop_on_quartic():
+    plan = SamplePlan(count=60, seed=3)
+    rep = run_identity_suite(QuarticNorm(), plan)
+    rows, worst = reference_identity_rows(QuarticNorm(), plan)
+    # last-bit differences of the batched Newton dual can move a row's worst
+    # identity among near-ties, so rows compare by their residual size
+    assert [r.point for r in rep.rows] == [row[0] for row in rows]
+    assert max(abs(r.rel_residual - row[3]) for r, row in zip(rep.rows, rows)) <= 1e-14
+    for k, v in worst.items():
+        assert abs(rep.details[k] - v) <= 1e-14
 
 
 def test_identity_suite_quartic():
