@@ -7,11 +7,15 @@ Three families are built in:
 * ``RiemannianNorm``: H(x) = sqrt(<Mx, x>) for a symmetric positive-definite
   matrix M.  All derivative and dual-norm formulas are closed form.
 * ``EuclideanNorm``: H(x) = |x|, mathematically ``RiemannianNorm(identity)``.
-  The class stays for its own value, gradient and jet arithmetic, which
-  rounds differently from the matrix route: replacing it with
-  ``RiemannianNorm(np.eye(N))`` keeps every test passing but changes the
-  last bits of 1,694 lines of the ``all --norm euclidean:3 --count 1000
-  --seed 100`` JSON report.
+  The class stays for a measured cost, not for its bytes.  Folded into
+  ``RiemannianNorm(np.eye(N))`` through the stacked matmuls,
+  ``all --norm euclidean:3 --count 1000`` ran about 11% slower (in-process
+  CPU time, median 1.47 -> 1.64 s, slower in 11 of 12 alternating pairs on
+  a 2-vCPU VM); through a two-step ``einsum`` it was slower in 7 of 10
+  pairs (median 1.20 -> 1.24 s, within that VM's swings).  The matrix route
+  does d^2 work and makes more numpy calls per point; revisit once the
+  suites call the norms over whole batches.  Its ``sqrt(sum(x*x))``
+  already rounds the same for one point and for a batch.
 * ``QuarticNorm``: H(x) = (x1^4 + 3 x1^2 x2^2 + x2^4)^(1/4) in the plane.
   Its unit ball is uniformly convex but not an ellipse, so its dual norm has
   no closed form and is computed by Newton iteration on the support-function
@@ -158,34 +162,10 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a, b> over the last axis, rounded exactly as the 1-D ``a @ b`` is.
 
     A stacked ``@`` over (..., 1, d) x (..., d, 1) operands runs the same
-    BLAS dot per row as the single-point product; ``einsum`` and ``sum``
-    round differently.
+    BLAS dot per row as the one-point product, so a batch row and a point
+    alone round alike; ``einsum`` (at d = 2) and gemv against gemm do not.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _pointwise_form(pts: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """<m x, x> per row, rounded as one 1-D ``np.einsum`` call rounds it.
-
-    Over a batch, and at one point of dimension >= 3, einsum adds the
-    products (x_i m_ij) x_j one at a time in row-major order.  At one point
-    in the plane it adds the two row sums instead, so a batch in the plane
-    spells that order out.
-    """
-    if pts.shape[-1] == 2:
-        p = pts[..., :, None] * m * pts[..., None, :]
-        return (p[..., 0, 0] + p[..., 0, 1]) + (p[..., 1, 0] + p[..., 1, 1])
-    return np.einsum("...i,ij,...j->...", pts, m, pts)
-
-
-def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """x**p elementwise, rounded by the C library's pow like a Python float.
-
-    numpy's array power dispatches to SIMD code that differs from libm in
-    the last bit on about 5% of inputs on AVX-512 hosts; the quadratic-form
-    jets keep the rounding of their scalar form.
-    """
-    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 class NormSpec:
@@ -199,7 +179,9 @@ class NormSpec:
 
     ``matrix`` is M for quadratic-form norms H(x) = sqrt(<Mx, x>) and None
     for every other norm.  It is the one answer to "does the transform
-    theory apply, and with which M?" that the other modules ask.
+    theory apply, and with which M?" that the other modules ask.  For
+    quadratic-form specs every batch row of ``value``, ``dual_value``,
+    ``gradient`` and ``jet`` rounds as that point alone.
     """
 
     dim: int
@@ -225,22 +207,6 @@ class NormSpec:
         """Dual norm H°(x), without materializing the dual spec."""
         raise NotImplementedError
 
-    def pointwise_value(self, x):
-        """``value`` at every row of a batch, each rounded as ``value``
-        rounds that row alone.
-
-        ``RiemannianNorm`` overrides this (see ``_pointwise_form``) so that
-        quadratic-form reports keep their bytes.  Elsewhere it is ``value``;
-        for ``QuarticNorm`` numpy's array ``**`` may round a batch row
-        differently from one point in the last bit.
-        """
-        return self.value(x)
-
-    def pointwise_dual_value(self, x):
-        """``dual_value`` at every row, as ``pointwise_value`` is for
-        ``value``."""
-        return self.dual_value(x)
-
     def canonical(self) -> str:
         raise NotImplementedError
 
@@ -263,42 +229,38 @@ class RiemannianNorm(NormSpec):
         self.matrix = matrix
         self.dim = matrix.dim
 
-    def value(self, x):
-        pts = _as_points(x, self.dim)
-        q = np.einsum("...i,ij,...j->...", pts, self.matrix.entries, pts)
-        return np.sqrt(np.maximum(q, 0.0))
+    @staticmethod
+    def _form(pts: np.ndarray, m: np.ndarray):
+        """(Mx, sqrt(<Mx, x>)) per row of `pts`.
 
-    def pointwise_value(self, x):
-        pts = _as_points(x, self.dim)
-        return np.sqrt(np.maximum(_pointwise_form(pts, self.matrix.entries), 0.0))
+        Stacked column-vector products run the BLAS call of the one-point
+        product on every row, so a point alone and as a batch row round
+        alike.
+        """
+        mx = (m @ pts[..., None])[..., 0]
+        return mx, np.sqrt(np.maximum(row_dot(pts, mx), 0.0))
+
+    def value(self, x):
+        return self._form(_as_points(x, self.dim), self.matrix.entries)[1]
 
     def gradient(self, x):
-        pts = _as_points(x, self.dim)
-        mx = pts @ self.matrix.entries
-        h = self.value(pts)
+        mx, h = self._form(_as_points(x, self.dim), self.matrix.entries)
         return mx / h[..., None]
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, self.dim)
         _check_not_origin(pts)
-        # column-vector form: each stacked product rounds like the 1-D one
         m = self.matrix.entries
-        mx = m @ pts[..., None]
-        h = np.sqrt(pts[..., None, :] @ mx)
-        hess = m / h - mx * np.swapaxes(mx, -1, -2) / _libm_pow(h, 3)
-        return _jet(h[..., 0, 0], (mx / h)[..., 0], hess)
+        mx, h = self._form(pts, m)
+        grad = mx / h[..., None]
+        hess = (m - grad[..., :, None] * grad[..., None, :]) / h[..., None, None]
+        return _jet(h, grad, hess)
 
     def dual(self) -> "RiemannianNorm":
         return RiemannianNorm(SpdMatrix(self.matrix.inverse))
 
     def dual_value(self, x):
-        pts = _as_points(x, self.dim)
-        q = np.einsum("...i,ij,...j->...", pts, self.matrix.inverse, pts)
-        return np.sqrt(np.maximum(q, 0.0))
-
-    def pointwise_dual_value(self, x):
-        pts = _as_points(x, self.dim)
-        return np.sqrt(np.maximum(_pointwise_form(pts, self.matrix.inverse), 0.0))
+        return self._form(_as_points(x, self.dim), self.matrix.inverse)[1]
 
     def canonical(self) -> str:
         return "riemannian:" + json.dumps(

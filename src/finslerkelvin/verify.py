@@ -117,8 +117,9 @@ _HOMOG_SCALES = (-3.5, -1.25, -0.5, 0.75, 2.0, 7.5)
 _FD_STEPS = (0.08, 0.04, 0.02)
 # Directions in the determinant-invariant sweep of the counterexample scan.
 _SCAN_DIRECTIONS = 64
-# Weak-form cross-check: bump test-function radius (Euclidean) and the
-# difference step of its value-only gradients.
+# Weak-form cross-check: number of bump test functions, their radius
+# (Euclidean) and the difference step of their value-only gradients.
+_BUMP_BOXES = 5
 _BUMP_RADIUS = 0.22
 _WEAK_FD_STEP = 1e-5
 
@@ -200,7 +201,7 @@ def manufacture_semilinear(spec: NormSpec,
     if family == "quadratic":
         u = quadratic_field(np.eye(dim), name="u-quadratic")
         if m is not None:
-            f = constant_field(dim, -2.0 * float(np.tensordot(m, np.eye(dim))),
+            f = constant_field(dim, -2.0 * float(np.vdot(m, np.eye(dim))),
                                name="f-quadratic")
             return ManufacturedProblem(u, f, spec, family)
     elif family == "gaussian-bump":
@@ -224,7 +225,7 @@ def manufacture_semilinear(spec: NormSpec,
         u = cubic_axis_field(a, b, name="u-poly3")
         if m is not None:
             f = linear_field(-6.0 * a * np.diag(m),
-                             -2.0 * float(np.tensordot(m, b)),
+                             -2.0 * float(np.vdot(m, b)),
                              name="f-poly3")
             return ManufacturedProblem(u, f, spec, family)
     elif family == "affine":
@@ -243,32 +244,20 @@ def manufacture_semilinear(spec: NormSpec,
     return ManufacturedProblem(u, f, spec, family)
 
 
-def manufacture_nlaplace(spec: NormSpec, family: str = "quadratic",
-                         **params) -> tuple[ScalarField, ScalarField]:
+def manufacture_nlaplace(spec: NormSpec,
+                         family: str = "quadratic") -> tuple[ScalarField, ScalarField]:
     """u and g = -(quasilinear operator of u) for the dimension-tied case.
 
-    `g` is evaluated pointwise from u's analytic jet; the affine family has
-    an exactly zero source.
+    The quadratic family is u = |x|^2 / 2 and `g` is evaluated pointwise
+    from u's analytic jet; the affine family has an exactly zero source.
     """
     dim = spec.dim
     if family == "affine":
-        a = np.asarray(params.get("linear", np.arange(1.0, dim + 1.0)), float)
-        u = linear_field(a, float(params.get("offset", 0.0)), name="u-affine")
+        u = linear_field(np.arange(1.0, dim + 1.0), name="u-affine")
         return u, constant_field(dim, 0.0, name="g-zero")
-    if family == "quadratic":
-        a = np.asarray(params.get("matrix", 0.5 * np.eye(dim)), dtype=float)
-        b = np.asarray(params.get("linear", np.zeros(dim)), dtype=float)
-        u = quadratic_field(a, b, float(params.get("offset", 0.0)),
-                            name="u-quadratic")
-    elif family == "gaussian-bump":
-        u = gaussian_field(
-            np.asarray(params.get("center", _default_center(dim)), float),
-            float(params.get("width", 1.2)),
-            float(params.get("amplitude", 1.0)),
-            name="u-gaussian",
-        )
-    else:
+    if family != "quadratic":
         raise ValueError(f"unknown manufactured family {family!r}")
+    u = quadratic_field(0.5 * np.eye(dim), name="u-quadratic")
 
     def evaluate(pts):
         flat = np.atleast_2d(np.asarray(pts, dtype=float).reshape(-1, dim))
@@ -277,7 +266,7 @@ def manufacture_nlaplace(spec: NormSpec, family: str = "quadratic",
         )
         return out.reshape(np.asarray(pts).shape[:-1])
 
-    return u, ScalarField(dim, evaluate, name=f"g-{family}-pointwise")
+    return u, ScalarField(dim, evaluate, name="g-quadratic-pointwise")
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +490,18 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     # first listed (np.argmax takes the first maximum)
     entries = [
         ("euler", row_dot(j.gradient, pts), h),
-        ("homogeneity", spec.pointwise_value(s[:, None] * pts), np.abs(s) * h),
+        ("homogeneity", spec.value(s[:, None] * pts), np.abs(s) * h),
         ("gradient_zero_homogeneity",
          *worst_component(spec.jet(t[:, None] * pts).gradient,
                           np.copysign(1.0, t)[:, None] * j.gradient)),
-        ("unit_duality", spec.pointwise_value(jd.gradient), ones),
-        ("unit_duality", spec.pointwise_dual_value(j.gradient), ones),
+        ("unit_duality", spec.value(jd.gradient), ones),
+        ("unit_duality", spec.dual_value(j.gradient), ones),
         ("inverse_duality",
          *worst_component(h[:, None] * dual.jet(j.gradient).gradient, pts)),
         ("inverse_duality",
          *worst_component(jd.value[:, None] * spec.jet(jd.gradient).gradient, pts)),
         ("equivalence", ratio, np.clip(ratio, c1, c2)),
-        ("bidual", dual.pointwise_dual_value(pts), h),
+        ("bidual", dual.dual_value(pts), h),
     ]
     lhs = np.stack([e[1] for e in entries], axis=1)
     rhs = np.stack([e[2] for e in entries], axis=1)
@@ -668,8 +657,7 @@ def _bump(points: np.ndarray, center: np.ndarray, radius: float):
     return psi, dpsi
 
 
-def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem,
-                         boxes: int = 5) -> dict:
+def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
     """Midpoint-quadrature check of the transformed weak identity.
 
     Integrates  H^(4-2N) H°(p) <gradH°(p), grad psi>  against
@@ -681,7 +669,7 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem,
     _require_quadratic_form(ctx.spec, "the weak-form cross-check")
     n = ctx.dim
     grid = 24 if n <= 3 else 10
-    centers = cube_directions(boxes, n, skip=29)
+    centers = cube_directions(_BUMP_BOXES, n, skip=29)
     centers = centers * (1.3 / np.asarray(ctx.spec.value(centers)))[:, None]
 
     offsets = ((np.arange(grid) + 0.5) / grid * 2.0 * _BUMP_RADIUS
@@ -714,7 +702,7 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem,
     return {
         "box_errors": errors,
         "worst": max(errors),
-        "boxes": boxes,
+        "boxes": _BUMP_BOXES,
         "grid": grid,
     }
 

@@ -144,7 +144,7 @@ def test_criterion_5_semilinear_theorem():
     for spec in (EuclideanNorm(3), pinned_riemannian(3, 500)):
         ctx = KelvinContext(spec)
         prob = manufacture_semilinear(spec, "gaussian-bump")
-        out = weak_form_crosscheck(ctx, prob, boxes=5)
+        out = weak_form_crosscheck(ctx, prob)
         worst_quad = max(worst_quad, out["worst"])
     gate("criterion 5c: weak-form quadrature cross-check", worst_quad, 1e-2)
 

@@ -177,15 +177,20 @@ def test_batched_jet_rejects_a_zero_row(rng):
             norm_jet(spec, pts)
 
 
-@pytest.mark.parametrize("spec", QUADRATIC_BATCH_SPECS)
+@pytest.mark.parametrize("spec", QUADRATIC_BATCH_SPECS + [
+    RiemannianNorm(random_spd_matrix(4, seed=5)),
+    RiemannianNorm(random_spd_matrix(6, seed=5)),
+])
 def test_pointwise_values_round_like_single_points(spec, rng):
-    # one 1-D einsum call rounds a point in the plane differently from a
-    # batch row; the pointwise forms must reproduce the single-point bits
+    # every row of a batch must round as that point alone; 1-D einsum
+    # (d = 2) and gemv against gemm (d = 2, 4, 5) would not
     pts = annulus_points(rng, spec.dim, count=300)
     want = [eval_norm(spec, x) for x in pts]
     want_dual = [dual_norm(spec, x) for x in pts]
-    assert np.array_equal(spec.pointwise_value(pts), want)
-    assert np.array_equal(spec.pointwise_dual_value(pts), want_dual)
+    want_grad = [spec.gradient(x) for x in pts]
+    assert np.array_equal(spec.value(pts), want)
+    assert np.array_equal(spec.dual_value(pts), want_dual)
+    assert np.array_equal(spec.gradient(pts), want_grad)
 
 
 def test_support_values_map_zero_rows_to_zero(rng):
