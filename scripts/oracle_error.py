@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Error of semilinear report rows against a 40-digit decimal oracle.
+"""Error of semilinear and affine nlaplace report rows against exact values.
 
 For a quadratic-form norm H(y) = sqrt(<My, y>) both sides of every row of
 the ``semilinear`` suite equal E = f(T(y)) / H(y)^(N+2), with T(y) = My / H^2
@@ -21,11 +21,18 @@ family, and for the gaussian-bump family (centre ``_default_center``, width
 u = exp(-|x-c|^2 / w^2).  The suite holds ``count`` quadratic rows, then
 ``count`` gaussian-bump rows, in plan order.
 
+In an ``nlaplace`` suite the first ``count`` rows are the affine family,
+u(x) = <(1, ..., N), x>, whose source is exactly 0: both sides of the
+transformed equation are 0, and |lhs| is the error of the analytic
+chain-rule jet and the operator.  For those rows the script prints the
+median, p99 and max of |lhs| in absolute units, plus the row behind the max.
+
 Usage (from the repository root; the package is imported from ``src/``):
 
     python3 scripts/oracle_error.py REPORT [REPORT ...] [--pool]
 
-``--pool`` prints one table over the rows of all files instead of one per
+A report may hold either suite or both (an ``all`` run).  ``--pool``
+prints one table per section over the rows of all files instead of one per
 file.
 """
 
@@ -84,10 +91,14 @@ def exact_values(m: np.ndarray, points) -> dict[str, list[Decimal]]:
     return out
 
 
+def _load(path: str) -> tuple[dict, dict]:
+    report = json.loads(Path(path).read_text())
+    return report, {s["suite"]: s for s in report["suites"]}
+
+
 def row_errors(path: str) -> dict:
     """Per (family, side): errors in eps and, per row, (point, E, lhs, rhs)."""
-    report = json.loads(Path(path).read_text())
-    suites = {s["suite"]: s for s in report["suites"]}
+    report, suites = _load(path)
     if "semilinear" not in suites:
         raise ValueError(f"{path}: no semilinear suite")
     rows = suites["semilinear"]["rows"]
@@ -109,6 +120,21 @@ def row_errors(path: str) -> dict:
     return out
 
 
+def affine_errors(path: str) -> tuple[list[float], list]:
+    """|lhs| of the affine nlaplace rows and, per row, (path, index, row)."""
+    report, suites = _load(path)
+    if "nlaplace" not in suites:
+        raise ValueError(f"{path}: no nlaplace suite")
+    rows = suites["nlaplace"]["rows"]
+    count = report["config"]["count"]
+    if len(rows) != 2 * count:
+        raise ValueError(f"{path}: expected {2 * count} nlaplace rows, "
+                         f"found {len(rows)}")
+    block = rows[:count]
+    return ([abs(row["lhs"]) for row in block],
+            [(path, i, row) for i, row in enumerate(block)])
+
+
 def table(title: str, errors: dict) -> list[str]:
     lines = [title,
              f"  {'family':<14}{'side':<6}{'rows':>7}{'median':>10}{'p99':>10}"
@@ -125,27 +151,58 @@ def table(title: str, errors: dict) -> list[str]:
     return lines + worst
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("reports", nargs="+", metavar="REPORT")
-    parser.add_argument("--pool", action="store_true",
-                        help="one table over the rows of all reports")
-    args = parser.parse_args(argv)
-    try:
-        per_file = [(path, row_errors(path)) for path in args.reports]
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.pool:
+def affine_table(title: str, errors: tuple[list[float], list]) -> list[str]:
+    values, where = errors
+    e = np.array(values)
+    path, index, row = where[int(np.argmax(e))]
+    return [title,
+            f"  {'nlaplace':<14}{'side':<6}{'rows':>7}{'median':>11}{'p99':>11}"
+            f"{'max':>11}  (absolute; exact value 0)",
+            f"  {'affine':<14}{'|lhs|':<6}{len(e):>7}{np.median(e):>11.3e}"
+            f"{np.percentile(e, 99):>11.3e}{e.max():>11.3e}",
+            f"  max affine |lhs|: {path} row {index} point {row['point']} "
+            f"lhs {row['lhs']!r}"]
+
+
+def _pool(sections: list) -> dict | tuple:
+    """One semilinear dict or one affine (values, where) over all files."""
+    if isinstance(sections[0], dict):
         pooled = {}
-        for _, errors in per_file:
+        for errors in sections:
             for key, (errs, where) in errors.items():
                 acc = pooled.setdefault(key, ([], []))
                 acc[0].extend(errs)
                 acc[1].extend(where)
-        per_file = [(f"pooled over {len(args.reports)} reports", pooled)]
-    for title, errors in per_file:
-        print("\n".join(table(title, errors)))
+        return pooled
+    return ([v for values, _ in sections for v in values],
+            [w for _, where in sections for w in where])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("reports", nargs="+", metavar="REPORT")
+    parser.add_argument("--pool", action="store_true",
+                        help="one table per section over the rows of all reports")
+    args = parser.parse_args(argv)
+    semilinear, affine = [], []
+    try:
+        for path in args.reports:
+            _, suites = _load(path)
+            if "semilinear" not in suites and "nlaplace" not in suites:
+                raise ValueError(f"{path}: no semilinear or nlaplace suite")
+            if "semilinear" in suites:
+                semilinear.append((path, row_errors(path)))
+            if "nlaplace" in suites:
+                affine.append((path, affine_errors(path)))
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for sections, render in ((semilinear, table), (affine, affine_table)):
+        if args.pool and sections:
+            sections = [(f"pooled over {len(sections)} reports",
+                         _pool([errors for _, errors in sections]))]
+        for title, errors in sections:
+            print("\n".join(render(title, errors)))
     return 0
 
 

@@ -7,6 +7,11 @@ and the tool version, and identical configurations produce byte-identical
 JSON artifacts.  `--threads` (config key `threads`) is still accepted and
 validated but has no effect: every suite runs on one thread.
 
+One `[PASS]`, `[FAIL]` or `[SKIP]` status line per suite goes to stdout
+when the report is written to a file (`--out`), and to stderr when the
+report itself goes to stdout, so that stdout then holds nothing but the
+report and parses as JSON or CSV.
+
 Exit codes: 0 all suites pass, 1 verification failure, 2 usage or
 configuration error (including a configuration the suites cannot evaluate),
 3 I/O error.
@@ -225,9 +230,11 @@ def run(config: RunConfig) -> int:
     else:
         reports.extend(_dispatch(config.suite, config))
 
+    # stdout carries the report itself when there is no --out
+    status_out = sys.stdout if config.out is not None else sys.stderr
     for rep in reports:
         if "skipped" in rep.details:
-            print(f"[SKIP] {rep.suite}: {rep.details['skipped']}")
+            print(f"[SKIP] {rep.suite}: {rep.details['skipped']}", file=status_out)
             continue
         status = "PASS" if rep.passed else "FAIL"
         if "spread" in rep.details:
@@ -238,7 +245,7 @@ def run(config: RunConfig) -> int:
                     f"{rep.max_rel_residual():.3e} (tolerance {rep.tolerance:.0e})")
         if "message" in rep.details:
             line += f" - {rep.details['message']}"
-        print(line)
+        print(line, file=status_out)
 
     document = {
         "schema": REPORT_SCHEMA,

@@ -4,13 +4,20 @@ A ``ScalarField`` couples a vectorised evaluation callable with an optional
 second-order jet callable.  Fields can be added, scaled, and multiplied;
 jets combine by the exact sum/product rules, so manufactured right-hand
 sides built from these combinators keep analytic derivatives.
+
+Every jet here is second-order forward (Taylor-mode) propagation over a
+batch (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+ch. 13): it takes one point (d,) or n points (n, d), and one point runs the
+arithmetic of a batch of one.  Dot, outer and matrix-vector products run
+per row (``row_dot``, ``row_outer``, stacked column-vector ``@``), so a
+batch row rounds exactly as the point alone does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .norms import Jet2, NormSpec
+from .norms import Jet2, NormSpec, _jet, libm_pow, row_dot, row_outer
 
 __all__ = [
     "ScalarField",
@@ -26,10 +33,13 @@ __all__ = [
 class ScalarField:
     """Scalar function with an optional analytic second-order jet.
 
-    `evaluate` maps arrays of shape (..., dim) to shape (...); `jet` maps a
-    single point to a :class:`Jet2`.  When a jet callable is attached it is
-    expected to be consistent with finite differences of `evaluate` (the
-    test suite enforces this for every built-in constructor).
+    `evaluate` maps arrays of shape (..., dim) to shape (...); `jet` maps
+    one point (dim,) or a batch (n, dim) to one :class:`Jet2` of the
+    matching shapes, with a float value at one point.  The jets of the
+    built-in constructors and of the algebra below round every batch row as
+    that point alone.  When a jet callable is attached it is expected to be
+    consistent with finite differences of `evaluate` (the test suite
+    enforces this for every built-in constructor).
     """
 
     def __init__(self, dim, evaluate, jet=None, name="field"):
@@ -102,11 +112,13 @@ class ScalarField:
         if self.has_jet and other.has_jet:
             def jet(x, a=self, b=other):
                 ja, jb = a.jet(x), b.jet(x)
-                grad = jb.value * ja.gradient + ja.value * jb.gradient
-                cross = np.outer(ja.gradient, jb.gradient)
-                hess = (jb.value * ja.hessian + ja.value * jb.hessian
-                        + cross + cross.T)
-                return Jet2(ja.value * jb.value, grad, hess)
+                va, vb = np.asarray(ja.value), np.asarray(jb.value)
+                grad = vb[..., None] * ja.gradient + va[..., None] * jb.gradient
+                cross = row_outer(ja.gradient, jb.gradient)
+                hess = (vb[..., None, None] * ja.hessian
+                        + va[..., None, None] * jb.hessian
+                        + cross + np.swapaxes(cross, -1, -2))
+                return _jet(va * vb, grad, hess)
         return ScalarField(
             self.dim,
             lambda pts: self._evaluate(pts) * other._evaluate(pts),
@@ -129,12 +141,11 @@ def _coerce(obj, dim) -> ScalarField:
 
 def constant_field(dim, c, name=None) -> ScalarField:
     c = float(c)
-    zero_g = np.zeros(dim)
-    zero_h = np.zeros((dim, dim))
     return ScalarField(
         dim,
         lambda pts: np.full(pts.shape[:-1], c),
-        jet=lambda x: Jet2(c, zero_g.copy(), zero_h.copy()),
+        jet=lambda x: _jet(np.full(x.shape[:-1], c), np.zeros(x.shape),
+                           np.zeros(x.shape + (dim,))),
         name=name or f"const({c})",
     )
 
@@ -143,11 +154,11 @@ def linear_field(a, c=0.0, name=None) -> ScalarField:
     """<a, x> + c."""
     a = np.asarray(a, dtype=float)
     dim = a.shape[0]
-    zero_h = np.zeros((dim, dim))
     return ScalarField(
         dim,
         lambda pts: pts @ a + c,
-        jet=lambda x: Jet2(float(x @ a + c), a.copy(), zero_h.copy()),
+        jet=lambda x: _jet(row_dot(x, a) + c, np.broadcast_to(a, x.shape).copy(),
+                           np.zeros(x.shape + (dim,))),
         name=name or "linear",
     )
 
@@ -163,7 +174,9 @@ def quadratic_field(a, b=None, c=0.0, name=None) -> ScalarField:
         return np.einsum("...i,ij,...j->...", pts, sym, pts) + pts @ b + c
 
     def jet(x):
-        return Jet2(float(x @ sym @ x + x @ b + c), 2.0 * sym @ x + b, 2.0 * sym)
+        sx = (sym @ x[..., None])[..., 0]
+        hess = np.broadcast_to(2.0 * sym, x.shape + (dim,)).copy()
+        return _jet(row_dot(x, sx) + row_dot(x, b) + c, 2.0 * sx + b, hess)
 
     return ScalarField(dim, evaluate, jet=jet, name=name or "quadratic")
 
@@ -180,11 +193,15 @@ def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
         return (np.sum(a * pts**3, axis=-1)
                 + np.einsum("...i,ij,...j->...", pts, bm, pts) + pts @ cv)
 
+    diag = np.arange(dim)
+
     def jet(x):
-        value = float(np.sum(a * x**3) + x @ bm @ x + x @ cv)
-        grad = 3.0 * a * x**2 + 2.0 * bm @ x + cv
-        hess = np.diag(6.0 * a * x) + 2.0 * bm
-        return Jet2(value, grad, hess)
+        x2 = x * x
+        bx = (bm @ x[..., None])[..., 0]
+        value = np.sum(a * (x2 * x), axis=-1) + row_dot(x, bx) + row_dot(x, cv)
+        hess = np.broadcast_to(2.0 * bm, x.shape + (dim,)).copy()
+        hess[..., diag, diag] += 6.0 * a * x
+        return _jet(value, 3.0 * a * x2 + 2.0 * bx + cv, hess)
 
     return ScalarField(dim, evaluate, jet=jet, name=name or "cubic")
 
@@ -202,10 +219,11 @@ def gaussian_field(center, width=1.0, amplitude=1.0, name=None) -> ScalarField:
 
     def jet(x):
         d = x - center
-        value = amp * float(np.exp(-(d @ d) / w2))
-        grad = value * (-2.0 / w2) * d
-        hess = value * (4.0 / w2**2 * np.outer(d, d) - 2.0 / w2 * np.eye(dim))
-        return Jet2(value, grad, hess)
+        value = amp * np.exp(-row_dot(d, d) / w2)
+        grad = (value * (-2.0 / w2))[..., None] * d
+        hess = value[..., None, None] * (4.0 / w2**2 * row_outer(d, d)
+                                         - 2.0 / w2 * np.eye(dim))
+        return _jet(value, grad, hess)
 
     return ScalarField(dim, evaluate, jet=jet, name=name or "gaussian")
 
@@ -213,7 +231,9 @@ def gaussian_field(center, width=1.0, amplitude=1.0, name=None) -> ScalarField:
 def norm_power_field(spec: NormSpec, exponent: float, name=None) -> ScalarField:
     """H(x)^p for a built-in norm; jets from the norm's analytic jet.
 
-    Defined away from the origin for negative or fractional exponents.
+    Defined away from the origin for negative or fractional exponents.  The
+    jet raises H to its powers with ``libm_pow``, the rounding of Python's
+    float ``**``.
     """
     p = float(exponent)
 
@@ -222,13 +242,13 @@ def norm_power_field(spec: NormSpec, exponent: float, name=None) -> ScalarField:
 
     def jet(x):
         j = spec.jet(x)
-        h = j.value
-        value = h**p
-        grad = p * h ** (p - 1.0) * j.gradient
+        hp1 = libm_pow(j.value, p - 1.0)
+        grad = (p * hp1)[..., None] * j.gradient
         hess = p * (
-            (p - 1.0) * h ** (p - 2.0) * np.outer(j.gradient, j.gradient)
-            + h ** (p - 1.0) * j.hessian
+            ((p - 1.0) * libm_pow(j.value, p - 2.0))[..., None, None]
+            * row_outer(j.gradient, j.gradient)
+            + hp1[..., None, None] * j.hessian
         )
-        return Jet2(value, grad, hess)
+        return _jet(libm_pow(j.value, p), grad, hess)
 
     return ScalarField(spec.dim, evaluate, jet=jet, name=name or f"H^{p}")

@@ -24,7 +24,11 @@ Transforms of scalar fields:
 
 Both return fields with analytic chain-rule jets when the context norm is
 quadratic-form and `u` has a jet; otherwise the transformed field falls
-back to finite-difference jets.
+back to finite-difference jets, which take one point at a time.
+
+``jacobian_matrix``, ``map_second_derivative`` and the chain-rule jet take
+one point (N,) or a batch (n, N), like ``NormSpec.jet``; for quadratic-form
+norms every batch row rounds as that point alone.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, norm_power_field
-from .norms import Jet2, NormSpec, dual_spec, eval_norm
+from .norms import (Jet2, NormSpec, dual_spec, eval_norm, libm_pow, row_dot,
+                    row_outer)
 from .operators import numeric_jet
 from .sampling import cube_directions
 
@@ -99,20 +104,31 @@ def kelvin_inverse(ctx: KelvinContext, y):
     return ctx.dual.gradient(pts) / h[..., None]
 
 
+def _quadratic_form(ctx: KelvinContext, pts: np.ndarray):
+    """(M, Mx, <Mx, x>) per row, refusing a zero row."""
+    m = ctx.spec.matrix.entries
+    mx = (m @ pts[..., None])[..., 0]
+    h2 = row_dot(pts, mx)
+    if np.any(h2 == 0.0):
+        raise ValueError("inversion map is undefined at the origin")
+    return m, mx, h2
+
+
 def jacobian_matrix(ctx: KelvinContext, x) -> np.ndarray:
-    """DT(x), closed form for quadratic-form norms, jet-based otherwise."""
-    pt = np.asarray(x, dtype=float)
-    if pt.shape != (ctx.dim,):
-        raise ValueError("jacobian_matrix expects a single point")
+    """DT(x), closed form for quadratic-form norms, jet-based otherwise.
+
+    `x` is one point (N,) or a batch (n, N); the result is (N, N) or
+    (n, N, N).
+    """
+    pts = np.asarray(x, dtype=float)
     if ctx.spec.matrix is not None:
-        m = ctx.spec.matrix.entries
-        mx = m @ pt
-        h2 = float(pt @ mx)
-        if h2 == 0.0:
-            raise ValueError("inversion map is undefined at the origin")
-        return (m - 2.0 * np.outer(mx, mx) / h2) / h2
-    j = ctx.spec.jet(pt)
-    return (j.value * j.hessian - np.outer(j.gradient, j.gradient)) / j.value**2
+        m, mx, h2 = _quadratic_form(ctx, pts)
+        h2 = h2[..., None, None]
+        return (m - 2.0 * row_outer(mx, mx) / h2) / h2
+    j = ctx.spec.jet(pts)
+    value = np.asarray(j.value)[..., None, None]
+    return ((value * j.hessian - row_outer(j.gradient, j.gradient))
+            / libm_pow(j.value, 2.0)[..., None, None])
 
 
 def jacobian_det(ctx: KelvinContext, x, signed: bool = False) -> float:
@@ -160,35 +176,41 @@ def map_second_derivative(ctx: KelvinContext, x) -> np.ndarray:
         d_i d_j T_k = -2 s^2 (M_kj (Mx)_i + M_ki (Mx)_j + M_ij (Mx)_k)
                       + 8 s^3 (Mx)_k (Mx)_i (Mx)_j.
 
-    Other norms have no closed form here; use numeric jets instead.
+    A batch (n, dim) of points gives (n, dim, dim, dim).  Other norms have
+    no closed form here; use numeric jets instead.
     """
     if ctx.spec.matrix is None:
         raise ValueError(
             "closed-form second derivatives exist only for quadratic-form norms"
         )
-    pt = np.asarray(x, dtype=float)
-    m = ctx.spec.matrix.entries
-    mx = m @ pt
-    h2 = float(pt @ mx)
-    if h2 == 0.0:
-        raise ValueError("inversion map is undefined at the origin")
-    s = 1.0 / h2
-    t1 = np.einsum("kj,i->kij", m, mx)
-    t2 = np.einsum("ki,j->kij", m, mx)
-    t3 = np.einsum("ij,k->kij", m, mx)
-    t4 = np.einsum("k,i,j->kij", mx, mx, mx)
-    return -2.0 * s**2 * (t1 + t2 + t3) + 8.0 * s**3 * t4
+    m, mx, h2 = _quadratic_form(ctx, np.asarray(x, dtype=float))
+    s = (1.0 / h2)[..., None, None, None]
+    k, i, j = (mx[..., :, None, None], mx[..., None, :, None],
+               mx[..., None, None, :])
+    # axes (k, i, j): M_kj (Mx)_i + M_ki (Mx)_j + M_ij (Mx)_k
+    terms = m[:, None, :] * i + m[:, :, None] * j + m * k
+    return -2.0 * (s * s) * terms + 8.0 * (s * s * s) * (k * i * j)
 
 
 def _pullback_jet(ctx: KelvinContext, u: ScalarField, y: np.ndarray) -> Jet2:
-    """Chain-rule jet of u(T(y)) for quadratic-form contexts."""
-    t = kelvin_map(ctx, y)
+    """Chain-rule jet of u(T(y)) for quadratic-form contexts.
+
+    DT^T grad u and DT^T D^2u DT are stacked matrix products, one BLAS call
+    per row as for one point.  The curvature term sum_k (grad u)_k D^2 T_k
+    is a batched ``einsum``, which sums a row in the order of the point
+    alone.  The stacked ``g @ d2t.reshape(..., N, N*N)`` rounds alike too,
+    but raised the oracle p99 of the quadratic family's semilinear lhs
+    (scripts/oracle_error.py, 15,000 Riemannian rows) from 11.10 to 11.24 eps.
+    """
+    y = np.asarray(y, dtype=float)
     dt = jacobian_matrix(ctx, y)
     d2t = map_second_derivative(ctx, y)
-    uj = u.jet(t)
-    grad = dt.T @ uj.gradient
-    hess = dt.T @ uj.hessian @ dt + np.einsum("k,kij->ij", uj.gradient, d2t)
-    return Jet2(uj.value, grad, 0.5 * (hess + hess.T))
+    uj = u.jet(kelvin_map(ctx, y))
+    dtt = np.swapaxes(dt, -1, -2)
+    grad = (dtt @ uj.gradient[..., None])[..., 0]
+    hess = (dtt @ uj.hessian @ dt
+            + np.einsum("...k,...kij->...ij", uj.gradient, d2t))
+    return Jet2(uj.value, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
 
 
 def _numeric_jet_field(dim: int, evaluate, name: str) -> ScalarField:

@@ -85,8 +85,13 @@ class Jet2:
     hessian: np.ndarray
 
 
+def _unbox(value):
+    """A Python scalar for a one-point result, the array itself for a batch."""
+    return np.asarray(value).item() if np.ndim(value) == 0 else value
+
+
 def _jet(value, gradient, hessian) -> Jet2:
-    return Jet2(float(value) if np.ndim(value) == 0 else value, gradient, hessian)
+    return Jet2(_unbox(value), gradient, hessian)
 
 
 class SpdMatrix:
@@ -166,6 +171,22 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     alone round alike; ``einsum`` (at d = 2) and gemv against gemm do not.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b over the last axis: (..., d) x (..., d) -> (..., d, d)."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def libm_pow(x, p: float) -> np.ndarray:
+    """x ** p per element through the C library's ``pow``.
+
+    That is the rounding of Python's float ``**``, so a batch row rounds as
+    the point alone; numpy's array ``**`` dispatches SIMD kernels that round
+    otherwise on about 5% of inputs at exponents such as -2 and 1.5.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 class NormSpec:
@@ -253,7 +274,7 @@ class RiemannianNorm(NormSpec):
         m = self.matrix.entries
         mx, h = self._form(pts, m)
         grad = mx / h[..., None]
-        hess = (m - grad[..., :, None] * grad[..., None, :]) / h[..., None, None]
+        hess = (m - row_outer(grad, grad)) / h[..., None, None]
         return _jet(h, grad, hess)
 
     def dual(self) -> "RiemannianNorm":
@@ -291,7 +312,7 @@ class EuclideanNorm(NormSpec):
         _check_not_origin(pts)
         h = np.sqrt(row_dot(pts, pts))[..., None]
         grad = pts / h
-        hess = np.eye(self.dim) - grad[..., :, None] * grad[..., None, :]
+        hess = np.eye(self.dim) - row_outer(grad, grad)
         return _jet(h[..., 0], grad, hess / h[..., None])
 
     def dual(self) -> "EuclideanNorm":

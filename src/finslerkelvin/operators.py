@@ -3,6 +3,10 @@
 The operators act on second-order jets rather than on fields: the caller
 chooses whether the jet comes from an analytic contract or from the finite
 difference builder below, and both routes share one algebraic code path.
+The operators take the jet of one point or of a batch (values (n,),
+gradients (n, d), Hessians (n, d, d)) and give one value per row; for
+quadratic-form norms a batch row rounds as that point alone.  The finite
+difference builder takes one point.
 
 For a norm H, the divergence-form operator div(H(grad u) gradH(grad u))
 evaluates pointwise as trace(A(grad u) D^2 u) with
@@ -22,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import ScalarField
-from .norms import EuclideanNorm, Jet2, NormSpec
+from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, libm_pow, row_dot,
+                    row_outer)
 
 __all__ = [
     "NumericJet",
@@ -57,10 +62,13 @@ class NumericJet(Jet2):
 
 
 class NLaplaceValue(NamedTuple):
-    """Quasilinear operator value plus a degenerate-gradient flag."""
+    """Quasilinear operator value plus a degenerate-gradient flag.
 
-    value: float
-    degenerate: bool
+    A float and a bool at one point; arrays of one entry per row for a batch.
+    """
+
+    value: float | np.ndarray
+    degenerate: bool | np.ndarray
 
 
 def _richardson(values):
@@ -164,15 +172,24 @@ def numeric_jet(field: ScalarField, point, step: float | str = "auto",
 def _coefficient_matrix(spec: NormSpec, grad: np.ndarray) -> np.ndarray:
     """A(grad) = H D^2 H + gradH (x) gradH evaluated at the field gradient."""
     j = spec.jet(grad)
-    return j.value * j.hessian + np.outer(j.gradient, j.gradient)
+    return (np.asarray(j.value)[..., None, None] * j.hessian
+            + row_outer(j.gradient, j.gradient))
 
 
-def anisotropic_laplacian(spec: NormSpec, jet: Jet2) -> float:
+def _contract(a: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """sum_ij a_ij hess_ij per row: ``np.vdot`` of each row, rounded alike."""
+    d = hess.shape[-1]
+    return row_dot(a.reshape(a.shape[:-2] + (d * d,)),
+                   hess.reshape(hess.shape[:-2] + (d * d,)))
+
+
+def anisotropic_laplacian(spec: NormSpec, jet: Jet2):
     """trace(A(grad u) D^2 u) for A = half the Hessian of H^2.
 
-    Quadratic-form norms have A = M identically, so a vanishing gradient is
-    harmless there; for other norms A is undefined at 0 and a zero gradient
-    is an error.
+    A jet of one point gives a float, a batch jet an array with one value
+    per row.  Quadratic-form norms have A = M identically, so a vanishing
+    gradient is harmless there; for other norms A is undefined at 0 and a
+    zero gradient is an error.
     """
     hess = np.asarray(jet.hessian, dtype=float)
     if isinstance(spec, EuclideanNorm):
@@ -181,14 +198,14 @@ def anisotropic_laplacian(spec: NormSpec, jet: Jet2) -> float:
         # semilinear rows and raises the oracle median of the quadratic
         # family's lhs from 1.42 to 1.66 eps, while the gaussian-bump lhs
         # median falls from 0.99 to 0.93 (scripts/oracle_error.py).
-        return float(np.trace(hess))
+        return _unbox(np.trace(hess, axis1=-2, axis2=-1))
     if spec.matrix is not None:
-        return float(np.vdot(spec.matrix.entries, hess))
+        return _unbox(_contract(spec.matrix.entries, hess))
     grad = np.asarray(jet.gradient, dtype=float)
-    if not np.any(grad != 0.0):
+    if not grad.any(axis=-1).all():
         raise ValueError("operator coefficient undefined at a zero gradient "
                          "for non-quadratic norms")
-    return float(np.vdot(_coefficient_matrix(spec, grad), hess))
+    return _unbox(_contract(_coefficient_matrix(spec, grad), hess))
 
 
 # Below this gradient size the quasilinear coefficient is treated as fully
@@ -203,31 +220,38 @@ _DEGENERATE_GRADIENT = 1e-140
 def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int) -> NLaplaceValue:
     """trace(B(grad u) D^2 u) for the dimension-tied quasilinear operator.
 
-    `n` must equal the spec dimension.  For n > 2 the coefficient B(xi)
-    vanishes continuously as xi -> 0, so a (numerically) zero gradient
-    returns 0 with the degenerate flag set instead of raising.
+    `n` must equal the spec dimension.  A jet of one point gives a float
+    and a bool, a batch jet one value and one flag per row.  For n > 2 the
+    coefficient B(xi) vanishes continuously as xi -> 0, so a row with a
+    (numerically) zero gradient reads 0 with the degenerate flag set
+    instead of raising.  Powers of H go through ``libm_pow``.
     """
     n = int(n)
     if n != spec.dim:
         raise ValueError(f"operator is dimension-tied: n={n} but spec.dim={spec.dim}")
     grad = np.asarray(jet.gradient, dtype=float)
     hess = np.asarray(jet.hessian, dtype=float)
-    gnorm = float(np.sqrt(grad @ grad))
-    if gnorm < _DEGENERATE_GRADIENT:
-        if n == 2 and spec.matrix is not None:
-            return NLaplaceValue(anisotropic_laplacian(spec, jet), False)
-        if n == 2:
-            raise ValueError("operator coefficient undefined at a zero gradient "
-                             "for non-quadratic norms")
-        return NLaplaceValue(0.0, True)
+    degenerate = np.sqrt(row_dot(grad, grad)) < _DEGENERATE_GRADIENT
+    live = ~degenerate
+    # the live rows as a (k, n) batch, also at one point (k = 0 or 1)
+    g, h = grad[live], hess[live]
+    value = np.zeros(grad.shape[:-1])
     if spec.matrix is not None:
         m = spec.matrix.entries
-        mg = m @ grad
-        q = float(grad @ mg)
-        core = m + (n - 2.0) * np.outer(mg, mg) / q
-        return NLaplaceValue(float(q ** ((n - 2.0) / 2.0)
-                                   * np.vdot(core, hess)), False)
-    j = spec.jet(grad)
-    b = (j.value ** (n - 1.0) * j.hessian
-         + (n - 1.0) * j.value ** (n - 2.0) * np.outer(j.gradient, j.gradient))
-    return NLaplaceValue(float(np.vdot(b, hess)), False)
+        mg = (m @ g[..., None])[..., 0]
+        q = row_dot(g, mg)
+        core = m + (n - 2.0) * row_outer(mg, mg) / q[:, None, None]
+        value[live] = libm_pow(q, (n - 2.0) / 2.0) * _contract(core, h)
+    else:
+        j = spec.jet(g)
+        b = (libm_pow(j.value, n - 1.0)[:, None, None] * j.hessian
+             + ((n - 1.0) * libm_pow(j.value, n - 2.0))[:, None, None]
+             * row_outer(j.gradient, j.gradient))
+        value[live] = _contract(b, h)
+    if n == 2 and degenerate.any():
+        # in the plane B = A, which is defined at a zero gradient only for
+        # quadratic-form norms
+        value[degenerate] = anisotropic_laplacian(
+            spec, Jet2(0.0, grad[degenerate], hess[degenerate]))
+        degenerate = np.zeros_like(degenerate)
+    return NLaplaceValue(_unbox(value), _unbox(degenerate))

@@ -63,26 +63,24 @@ class PointResidual:
 
 
 def residual_rows(points, lhs, rhs, flags=None) -> list[PointResidual]:
-    """Rows from parallel arrays of sample points and both sides."""
+    """Rows from parallel arrays of sample points and both sides.
+
+    The residuals are computed as arrays and every cell leaves through
+    ``tolist()``, so each one is a Python float or bool, never a numpy
+    scalar.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if flags is None:
-        flags = [False] * len(lhs)
-    rows = []
-    for p, a, b, fl in zip(points, lhs, rhs, flags):
-        absr = abs(a - b)
-        rows.append(
-            PointResidual(
-                point=tuple(float(c) for c in p),
-                lhs=float(a),
-                rhs=float(b),
-                abs_residual=float(absr),
-                rel_residual=float(absr / max(abs(a), abs(b), 1.0)),
-                flag=bool(fl),
-            )
-        )
-    return rows
+    flags = (np.zeros(len(lhs), dtype=bool) if flags is None
+             else np.asarray(flags, dtype=bool))
+    absr = np.abs(lhs - rhs)
+    rel = absr / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return [
+        PointResidual(tuple(p), a, b, e, r, fl)
+        for p, a, b, e, r, fl in zip(points.tolist(), lhs.tolist(), rhs.tolist(),
+                                     absr.tolist(), rel.tolist(), flags.tolist())
+    ]
 
 
 @dataclass

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from finslerkelvin import RiemannianNorm, format_norm
 from finslerkelvin.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -16,6 +17,7 @@ from finslerkelvin.cli import (
     parse_config,
     serialize_config,
 )
+from finslerkelvin.verify import random_spd_matrix
 
 FAST = ["--count", "25"]
 
@@ -222,6 +224,46 @@ def test_stdout_report_when_no_out(capsys):
                 + FAST)
     assert code == EXIT_PASS
     assert "identities" in capsys.readouterr().out
+
+
+def test_stdout_report_parses_and_status_lines_go_to_stderr(package_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslerkelvin", "identities", "--norm",
+         "euclidean:2", "--count", "3"],
+        capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == EXIT_PASS
+    doc = json.loads(proc.stdout)
+    assert [s["suite"] for s in doc["suites"]] == ["identities"]
+    assert "[PASS] identities" in proc.stderr
+
+
+@pytest.mark.parametrize("args, dim, theorem_rows", [
+    # 2 x 50 semilinear rows
+    (["semilinear", "--norm", format_norm(RiemannianNorm(random_spd_matrix(4, 0))),
+      "--count", "50"], 4, slice(0, 100)),
+    # identities 20, kelvin 20, counterexample 64, then 2 x 20 semilinear
+    # and 2 x 20 nlaplace rows
+    (["all", "--norm", "euclidean:3", "--count", "20"], 3, slice(104, 184)),
+])
+def test_csv_cells_parse_and_theorem_residuals_are_exact(tmp_path, args, dim,
+                                                         theorem_rows):
+    # what perfbench's CSV check asserts: a numpy scalar's repr
+    # ('np.float64(0.5)') in any cell would fail the float() parse
+    out = tmp_path / "report.csv"
+    assert main(args + ["--format", "csv", "--out", str(out)]) in (
+        EXIT_PASS, EXIT_VERIFICATION)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == theorem_rows.stop
+    for cells in rows:
+        assert len(cells) == dim + 5
+        assert cells[-1] in ("0", "1")
+        # only the point columns of a shorter (planar) point are left empty
+        for cell in cells[dim:-1] + [c for c in cells[:dim] if c]:
+            float(cell)
+    for cells in rows[theorem_rows]:
+        lhs, rhs, absr, rel = (float(c) for c in cells[dim:dim + 4])
+        assert absr == abs(lhs - rhs)
+        assert rel == absr / max(abs(lhs), abs(rhs), 1.0)
 
 
 def test_version_flag(capsys):

@@ -36,6 +36,42 @@ def test_rows_relative_floor():
     assert rows[0].rel_residual == pytest.approx(0.5)
 
 
+def _rows_one_at_a_time(points, lhs, rhs, flags=None):
+    """The per-row loop that residual_rows replaced, kept as the reference."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if flags is None:
+        flags = [False] * len(lhs)
+    rows = []
+    for p, a, b, fl in zip(points, lhs, rhs, flags):
+        absr = abs(a - b)
+        rows.append(PointResidual(
+            point=tuple(float(c) for c in p), lhs=float(a), rhs=float(b),
+            abs_residual=float(absr),
+            rel_residual=float(absr / max(abs(a), abs(b), 1.0)),
+            flag=bool(fl)))
+    return rows
+
+
+def test_array_rows_equal_the_per_row_loop_bitwise(rng):
+    n = 500
+    points = rng.standard_normal((n, 3))
+    lhs = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 5, n)
+    rhs = lhs * (1.0 + 1e-12 * rng.standard_normal(n))
+    lhs[:8] = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-300, np.nan, 2.0]
+    rhs[:8] = [1.0, -0.0, 0.0, np.inf, 3.0, np.inf, np.nan, -np.inf]
+    flags = rng.random(n) < 0.1
+    with np.errstate(invalid="ignore"):
+        want = _rows_one_at_a_time(points, lhs, rhs, flags)
+        got = residual_rows(points, lhs, rhs, flags)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    for row in got:
+        cells = (*row.point, row.lhs, row.rhs, row.abs_residual, row.rel_residual)
+        assert all(type(c) is float for c in cells)
+        assert type(row.flag) is bool
+
+
 def test_aggregates_recomputable_from_rows():
     rep = sample_report()
     active = [r for r in rep.rows if not r.flag]
