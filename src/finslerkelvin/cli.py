@@ -247,15 +247,15 @@ def run(config: RunConfig) -> int:
             line += f" - {rep.details['message']}"
         print(line, file=status_out)
 
-    document = {
-        "schema": REPORT_SCHEMA,
-        "version": f"finslerkelvin {VERSION}",
-        "config": config.to_dict(),
-        "passed": all(r.passed for r in reports),
-        "suites": [r.to_dict() for r in reports],
-    }
+    passed = all(r.passed for r in reports)
     if config.format == "json":
-        text = render_json(document)
+        text = render_json({
+            "schema": REPORT_SCHEMA,
+            "version": f"finslerkelvin {VERSION}",
+            "config": config.to_dict(),
+            "passed": passed,
+            "suites": [r.to_dict() for r in reports],
+        })
     elif config.format == "csv":
         text = render_csv(reports, config.dim)
     else:
@@ -270,7 +270,7 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_PASS if document["passed"] else EXIT_VERIFICATION
+    return EXIT_PASS if passed else EXIT_VERIFICATION
 
 
 def build_parser() -> argparse.ArgumentParser:

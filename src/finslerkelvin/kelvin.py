@@ -24,11 +24,12 @@ Transforms of scalar fields:
 
 Both return fields with analytic chain-rule jets when the context norm is
 quadratic-form and `u` has a jet; otherwise the transformed field falls
-back to finite-difference jets, which take one point at a time.
+back to finite-difference jets (``operators.numeric_jet``).
 
-``jacobian_matrix``, ``map_second_derivative`` and the chain-rule jet take
-one point (N,) or a batch (n, N), like ``NormSpec.jet``; for quadratic-form
-norms every batch row rounds as that point alone.
+``jacobian_matrix``, ``map_second_derivative``, ``jacobian_det``,
+``det_invariant``, ``reflection_determinant`` and both kinds of transform
+jet take one point (N,) or a batch (n, N), like ``NormSpec.jet``; for
+quadratic-form norms every batch row rounds as that point alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, norm_power_field
-from .norms import (Jet2, NormSpec, dual_spec, eval_norm, libm_pow, row_dot,
+from .norms import (Jet2, NormSpec, _unbox, dual_spec, libm_pow, row_dot,
                     row_outer)
 from .operators import numeric_jet
 from .sampling import cube_directions
@@ -131,41 +132,48 @@ def jacobian_matrix(ctx: KelvinContext, x) -> np.ndarray:
             / libm_pow(j.value, 2.0)[..., None, None])
 
 
-def jacobian_det(ctx: KelvinContext, x, signed: bool = False) -> float:
+def jacobian_det(ctx: KelvinContext, x, signed: bool = False):
     """|det DT(x)| (or the signed determinant for diagnostics).
 
-    The map is orientation-reversing along radial directions, so the signed
+    A float at one point, one value per row for a batch.  The map is
+    orientation-reversing along radial directions, so the signed
     determinant alternates sign with dimension; the absolute value is what
     enters every change-of-variables formula here.
     """
-    d = float(np.linalg.det(jacobian_matrix(ctx, x)))
-    return d if signed else abs(d)
+    d = np.linalg.det(jacobian_matrix(ctx, x))
+    return _unbox(d if signed else np.abs(d))
 
 
-def det_invariant(ctx: KelvinContext, x) -> float:
-    """H(x)^(2N) * |det DT(x)|.
+def det_invariant(ctx: KelvinContext, x):
+    """H(x)^(2N) * |det DT(x)| at one point (a float) or per batch row.
 
     Equal to det M at every point for quadratic-form norms; direction-
     dependent in general (the quartic norm is the stock counterexample).
+    The power goes through ``libm_pow``, the rounding of the one-point
+    Python ``**``.
     """
-    h = eval_norm(ctx.spec, x)
-    if h == 0.0:
+    pts = np.asarray(x, dtype=float)
+    h = np.asarray(ctx.spec.value(pts))
+    if np.any(h == 0.0):
         raise ValueError("inversion map is undefined at the origin")
-    return h ** (2 * ctx.dim) * jacobian_det(ctx, x)
+    return _unbox(libm_pow(h, 2 * ctx.dim) * jacobian_det(ctx, pts))
 
 
-def reflection_determinant(y) -> float:
-    """Signed determinant of I - 2 yhat (x) yhat.
+def reflection_determinant(y):
+    """Signed determinant of I - 2 yhat (x) yhat, per row of a batch.
 
     The matrix is the reflection across the hyperplane orthogonal to y, so
     the determinant is exactly -1; its absolute value 1 is the scalar fact
-    behind the constant-determinant property of quadratic-form norms.
+    behind the constant-determinant property of quadratic-form norms.  One
+    point (d,) gives a float, a batch (n, d) one determinant per row.
     """
     v = np.asarray(y, dtype=float)
-    n2 = float(v @ v)
-    if n2 == 0.0:
+    n2 = row_dot(v, v)
+    if np.any(n2 == 0.0):
         raise ValueError("direction must be nonzero")
-    return float(np.linalg.det(np.eye(v.shape[0]) - 2.0 * np.outer(v, v) / n2))
+    eye = np.eye(v.shape[-1])
+    return _unbox(np.linalg.det(
+        eye - 2.0 * row_outer(v, v) / n2[..., None, None]))
 
 
 def map_second_derivative(ctx: KelvinContext, x) -> np.ndarray:
@@ -214,7 +222,11 @@ def _pullback_jet(ctx: KelvinContext, u: ScalarField, y: np.ndarray) -> Jet2:
 
 
 def _numeric_jet_field(dim: int, evaluate, name: str) -> ScalarField:
-    """Field whose jet is the finite-difference jet of its own values."""
+    """Field whose jet is the finite-difference jet of its own values.
+
+    Like every ``ScalarField`` jet it takes one point or a batch; a batch
+    costs two calls of `evaluate`.
+    """
 
     def jet(y):
         return numeric_jet(field, y)

@@ -6,7 +6,9 @@ difference builder below, and both routes share one algebraic code path.
 The operators take the jet of one point or of a batch (values (n,),
 gradients (n, d), Hessians (n, d, d)) and give one value per row; for
 quadratic-form norms a batch row rounds as that point alone.  The finite
-difference builder takes one point.
+difference builder takes one point or a batch too, in two field calls,
+and its batch rows round as the points alone whenever the field's values
+do.
 
 For a norm H, the divergence-form operator div(H(grad u) gradH(grad u))
 evaluates pointwise as trace(A(grad u) D^2 u) with
@@ -47,18 +49,27 @@ _GRAD_STEP = _EPS ** (1.0 / 3.0)
 _HESS_STEP = _EPS ** 0.25
 
 
-def auto_step(point) -> float:
-    """Default first-difference step at `point`."""
+def auto_step(point):
+    """Default first-difference step at one point (float) or per batch row."""
     pt = np.asarray(point, dtype=float)
-    return _GRAD_STEP * max(1.0, float(np.sqrt(pt @ pt)))
+    return _unbox(_GRAD_STEP * _length_scale(pt))
+
+
+def _length_scale(pts: np.ndarray) -> np.ndarray:
+    """max(1, |x|) per row, with |x| rounded as the 1-D ``sqrt(x @ x)``."""
+    return np.maximum(1.0, np.sqrt(row_dot(pts, pts)))
 
 
 @dataclass(frozen=True)
 class NumericJet(Jet2):
-    """Jet with the extrapolation-difference error estimates attached."""
+    """Jet with the extrapolation-difference error estimates attached.
 
-    gradient_error: float = float("nan")
-    hessian_error: float = float("nan")
+    The estimates are floats at one point and arrays of one entry per row
+    for a batch; with a single Richardson level they are NaN.
+    """
+
+    gradient_error: float | np.ndarray = float("nan")
+    hessian_error: float | np.ndarray = float("nan")
 
 
 class NLaplaceValue(NamedTuple):
@@ -71,20 +82,23 @@ class NLaplaceValue(NamedTuple):
     degenerate: bool | np.ndarray
 
 
-def _richardson(values):
-    """Extrapolate a coarse-to-fine list of O(h^2) approximations.
+def _richardson(values: np.ndarray):
+    """Extrapolate O(h^2) approximations along axis 1, coarse to fine.
 
-    Returns (best, error_estimate); with a single level the estimate is NaN.
+    `values` has shape (rows, levels, ...).  Returns (best, error) with one
+    error estimate per row, the largest entry of the last extrapolation
+    difference; with a single level the estimate is NaN.
     """
-    r = [np.asarray(v, dtype=float) for v in values]
+    r = [values[:, k] for k in range(values.shape[1])]
     L = len(r)
     for j in range(1, L):
         factor = 4.0**j
         for i in range(L - 1, j - 1, -1):
             r[i] = (factor * r[i] - r[i - 1]) / (factor - 1.0)
     if L < 2:
-        return r[-1], float("nan")
-    return r[-1], float(np.max(np.abs(r[-1] - r[-2])))
+        return r[-1], np.full(len(values), np.nan)
+    diff = np.abs(r[-1] - r[-2])
+    return r[-1], np.max(diff, axis=tuple(range(1, diff.ndim)))
 
 
 @lru_cache(maxsize=None)
@@ -108,65 +122,86 @@ def numeric_jet(field: ScalarField, point, step: float | str = "auto",
                 refinement: int = 3) -> NumericJet:
     """Central-difference jet with Richardson extrapolation.
 
-    `step` is either "auto" or an explicit base step used for every stencil.
-    `refinement` >= 1 is the number of Richardson levels; level k uses step
-    base * 2^k and the levels are extrapolated together.  At the auto step
-    the gradient uses a finer base step than the Hessian, so it takes only
-    the axis rows of the stencil.  Every stencil point of every level is
-    evaluated in one field call.
+    `point` is one point (d,) or a batch (k, d); the jet has the shapes of
+    ``ScalarField.jet`` and one error estimate per row (floats at one
+    point).  One point runs the arithmetic of a batch of one.
 
-    The stencil at the largest level must not reach the origin (fields here
-    are typically singular there); that raises instead of returning noise.
+    `step` is either "auto" (a step per row that scales with max(1, |x|))
+    or an explicit base step used for every stencil.  `refinement` >= 1 is
+    the number of Richardson levels; level k uses step base * 2^k and the
+    levels are extrapolated together.  At the auto step the gradient uses a
+    finer base step than the Hessian, so it takes only the axis rows of the
+    stencil.  The field is called twice: once for the values at the points,
+    once for every stencil point of every row and level (72 per row at
+    d = 3, refinement 3 and the auto step).
+
+    No stencil at the largest level may reach the origin (fields here are
+    typically singular there); that raises instead of returning noise, as
+    does a non-finite field value.  Each message names the first offending
+    point.
     """
-    x = np.asarray(point, dtype=float)
+    pts = np.asarray(point, dtype=float)
     n = field.dim
-    if x.shape != (n,):
+    if pts.shape[-1:] != (n,) or pts.ndim > 2:
         raise ValueError("point dimension does not match the field")
+    x = pts.reshape(-1, n)
+    k = len(x)
     levels = int(refinement)
     if levels < 1:
         raise ValueError("refinement must be >= 1")
-    if step == "auto":
-        hg = auto_step(x)
-        hh = _HESS_STEP * max(1.0, float(np.sqrt(x @ x)))
+    split = step == "auto"
+    if split:
+        length = _length_scale(x)
+        hg, hh = _GRAD_STEP * length, _HESS_STEP * length
     else:
-        hg = hh = float(step)
-        if hg <= 0.0:
+        if float(step) <= 0.0:
             raise ValueError("step must be positive")
-    reach = max(hg, hh) * 2.0 ** (levels - 1) * np.sqrt(2.0) * 1.000001
-    if float(np.sqrt(x @ x)) <= reach:
+        hg = hh = np.full(k, float(step))
+    reach = np.maximum(hg, hh) * 2.0 ** (levels - 1) * np.sqrt(2.0) * 1.000001
+    inside = np.sqrt(row_dot(x, x)) <= reach
+    if inside.any():
+        first = np.argmax(inside)
+        raise ValueError(f"stencil of reach {reach[first]:.3g} would cross "
+                         f"the origin at {x[first].tolist()}")
+    f0 = np.asarray(field(x), dtype=float).reshape(k)
+    bad = ~np.isfinite(f0)
+    if bad.any():
         raise ValueError(
-            f"stencil of reach {reach:.3g} would cross the origin at {x.tolist()}"
-        )
-    f0 = float(field(x))
-    if not np.isfinite(f0):
-        raise ValueError(f"non-finite field value at {x.tolist()}")
+            f"non-finite field value at {x[np.argmax(bad)].tolist()}")
 
-    scale = 2.0 ** np.arange(levels - 1, -1, -1)[:, None]  # coarse -> fine
-    gs, hs = hg * scale, hh * scale
-    hs2 = hs * hs
+    # steps of shape (row, level, 1), levels coarse -> fine
+    scale = 2.0 ** np.arange(levels - 1, -1, -1)
+    gs, hs = (hg[:, None] * scale)[..., None], (hh[:, None] * scale)[..., None]
     table = _offsets(n)
-    rows = hs[:, :, None] * table
-    if hg != hh:
-        rows = np.concatenate([rows, gs[:, :, None] * table[: 2 * n]], axis=1)
-    vals = np.asarray(field(x + rows.reshape(-1, n)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"non-finite field value near {x.tolist()}")
-    vals = vals.reshape(levels, -1)
-    gvals = vals[:, -2 * n :] if hg != hh else vals
-    grad = (gvals[:, :n] - gvals[:, n : 2 * n]) / (2.0 * gs)
+    rows = hs[..., None] * table
+    if split:
+        rows = np.concatenate([rows, gs[..., None] * table[: 2 * n]], axis=2)
+    vals = np.asarray(field((x[:, None, None, :] + rows).reshape(-1, n)),
+                      dtype=float).reshape(k, levels, -1)
+    bad = ~np.isfinite(vals).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(
+            f"non-finite field value near {x[np.argmax(bad)].tolist()}")
+    hs2 = hs * hs
+    gvals = vals[..., -2 * n :] if split else vals
+    grad = (gvals[..., :n] - gvals[..., n : 2 * n]) / (2.0 * gs)
 
-    fp, fm = vals[:, :n], vals[:, n : 2 * n]
-    hess = np.zeros((levels, n, n))
+    fp, fm = vals[..., :n], vals[..., n : 2 * n]
+    hess = np.zeros((k, levels, n, n))
     idx = np.arange(n)
-    hess[:, idx, idx] = (fp - 2.0 * f0 + fm) / hs2
+    hess[..., idx, idx] = (fp - 2.0 * f0[:, None, None] + fm) / hs2
     i, j = np.triu_indices(n, 1)
-    q = vals[:, 2 * n : len(table)].reshape(levels, -1, 4)
+    q = vals[..., 2 * n : len(table)].reshape(k, levels, -1, 4)
     off = (q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3]) / (4.0 * hs2)
-    hess[:, i, j] = hess[:, j, i] = off
+    hess[..., i, j] = hess[..., j, i] = off
 
     grad, gerr = _richardson(grad)
     hess, herr = _richardson(hess)
-    return NumericJet(f0, grad, 0.5 * (hess + hess.T), gerr, herr)
+    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    if pts.ndim == 1:
+        return NumericJet(f0.item(), grad[0], hess[0], gerr.item(),
+                          herr.item())
+    return NumericJet(f0, grad, hess, gerr, herr)
 
 
 def _coefficient_matrix(spec: NormSpec, grad: np.ndarray) -> np.ndarray:

@@ -53,10 +53,9 @@ from .norms import (
     QuarticNorm,
     RiemannianNorm,
     SpdMatrix,
-    dual_norm,
     dual_spec,
     equivalence_constants,
-    eval_norm,
+    libm_pow,
     row_dot,
 )
 from .operators import (
@@ -123,6 +122,11 @@ _SCAN_DIRECTIONS = 64
 # with 4,096 and 69.8 MB unblocked (63.9 MB one point at a time).  Report
 # bytes do not depend on the block size.
 _JET_BLOCK = 1024
+# Rows per finite-difference jet call.  A row's stencil is 72 points at
+# N = 3 (refinement 3, auto step), so blocks of 1,024 rows added 8.8 MB of
+# peak RSS to a 1,000-point `nlaplace` run and blocks of 128 added 1.2 MB,
+# at the same speed.  Report bytes do not depend on the block size.
+_FD_BLOCK = 128
 # Weak-form cross-check: number of bump test functions, their radius
 # (Euclidean) and the difference step of their value-only gradients.
 _BUMP_BOXES = 5
@@ -134,9 +138,9 @@ def _path_tolerance(spec: NormSpec) -> float:
     return TOL_CLOSED_FORM if spec.matrix is not None else TOL_NUMERIC_DUAL
 
 
-def _blocks(pts: np.ndarray):
-    """Consecutive row blocks of at most ``_JET_BLOCK`` points."""
-    return (pts[k:k + _JET_BLOCK] for k in range(0, len(pts), _JET_BLOCK))
+def _blocks(pts: np.ndarray, size: int = _JET_BLOCK):
+    """Consecutive row blocks of at most `size` points."""
+    return (pts[k:k + size] for k in range(0, len(pts), size))
 
 
 @dataclass(frozen=True)
@@ -296,16 +300,14 @@ def _convergence_study(field: ScalarField, lhs_of_jet, rhs_values,
                        points) -> dict:
     """Residual vs plain central-difference step, with a fitted order.
 
-    Uses refinement=1 so the truncation term is visible (the Richardson
-    default would sit on the extrapolation floor immediately).
+    One jet call per step over all `points`.  Uses refinement=1 so the
+    truncation term is visible (the Richardson default would sit on the
+    extrapolation floor immediately).
     """
     maxres = []
     for h in _FD_STEPS:
-        worst = 0.0
-        for y, rhs in zip(points, rhs_values):
-            jet = numeric_jet(field, y, step=h, refinement=1)
-            worst = max(worst, abs(lhs_of_jet(jet, y) - rhs))
-        maxres.append(worst)
+        jet = numeric_jet(field, points, step=h, refinement=1)
+        maxres.append(float(np.max(np.abs(lhs_of_jet(jet) - rhs_values))))
     return {
         "steps": list(_FD_STEPS),
         "max_residuals": maxres,
@@ -334,7 +336,8 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
         return -anisotropic_laplacian(ctx.dual, jet)
 
     if jet_mode == "numeric":
-        lhs_vals = [lhs_of(numeric_jet(uhat, y)) for y in pts]
+        lhs_vals = np.hstack([lhs_of(numeric_jet(uhat, block))
+                              for block in _blocks(pts, _FD_BLOCK)])
     else:
         lhs_vals = np.hstack([lhs_of(uhat.jet(block)) for block in _blocks(pts)])
     rows = residual_rows(pts, lhs_vals, rhs_vals)
@@ -344,12 +347,8 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
                                      "jet_mode": jet_mode})
     if convergence:
         sel = np.argsort([-float(p @ p) for p in pts])[:5]
-        report.convergence = _convergence_study(
-            uhat,
-            lambda jet, y: -anisotropic_laplacian(ctx.dual, jet),
-            rhs_vals[sel],
-            pts[sel],
-        )
+        report.convergence = _convergence_study(uhat, lhs_of, rhs_vals[sel],
+                                                pts[sel])
     report.passed = report.max_rel_residual() <= TOL_SEMILINEAR and (
         report.convergence is None
         or report.convergence["order"] >= MIN_FD_ORDER
@@ -381,7 +380,8 @@ def check_theorem_nlaplace(ctx: KelvinContext, u: ScalarField, g: ScalarField,
         return -value.value, gnorm < DEGENERATE_GRADIENT_TOL
 
     if jet_mode == "numeric":
-        results = [lhs_of(numeric_jet(ustar, y)) for y in pts]
+        results = [lhs_of(numeric_jet(ustar, block))
+                   for block in _blocks(pts, _FD_BLOCK)]
     else:
         results = [lhs_of(ustar.jet(block)) for block in _blocks(pts)]
     rows = residual_rows(pts, np.hstack([v for v, _ in results]), rhs_vals,
@@ -425,34 +425,35 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     xis = cube_directions(count, dim, skip=41) * 1.7
     ps = cube_directions(count, dim, skip=57) * 2.3
 
-    rows = []
-    worst_a = worst_b = 0.0
-    for y, xi, p in zip(pts, xis, ps):
-        hy = eval_norm(spec, y)
-        dt = jacobian_matrix(ctx, y)
-        lhs_a = dual_norm(spec, dt @ xi) * hy**2
-        rhs_a = eval_norm(spec, xi)
-        rel_a = abs(lhs_a - rhs_a) / max(abs(lhs_a), abs(rhs_a), 1.0)
-        worst_a = max(worst_a, rel_a)
+    def apply(mat, vec):
+        return (mat @ vec[..., None])[..., 0]
 
-        t = kelvin_map(ctx, y)
-        jp = spec.jet(p)
-        left = jp.value * (jacobian_matrix(dual_ctx, t) @ jp.gradient)
-        q = dt @ p
-        jq = ctx.dual.jet(q)
-        right = hy**4 * jq.value * jq.gradient
-        k = int(np.argmax(np.abs(left - right)))
-        rel_b = abs(left[k] - right[k]) / max(
-            float(np.max(np.abs(left))), float(np.max(np.abs(right))), 1.0
-        )
-        worst_b = max(worst_b, rel_b)
-        point = tuple(y.tolist())
-        if rel_b >= rel_a:
-            rows.append(PointResidual(point, float(left[k]), float(right[k]),
-                                      float(abs(left[k] - right[k])), rel_b))
-        else:
-            rows.append(PointResidual(point, float(lhs_a), float(rhs_a),
-                                      float(abs(lhs_a - rhs_a)), rel_a))
+    hy = np.asarray(spec.value(pts))
+    dt = jacobian_matrix(ctx, pts)
+    lhs_a = np.asarray(spec.dual_value(apply(dt, xis))) * libm_pow(hy, 2)
+    rhs_a = np.asarray(spec.value(xis))
+    abs_a = np.abs(lhs_a - rhs_a)
+    rel_a = abs_a / np.maximum(np.maximum(np.abs(lhs_a), np.abs(rhs_a)), 1.0)
+
+    jp = spec.jet(ps)
+    left = jp.value[:, None] * apply(
+        jacobian_matrix(dual_ctx, kelvin_map(ctx, pts)), jp.gradient)
+    jq = ctx.dual.jet(apply(dt, ps))
+    right = (libm_pow(hy, 4) * jq.value)[:, None] * jq.gradient
+    idx = np.arange(count)
+    k = np.argmax(np.abs(left - right), axis=1)
+    left_k, right_k = left[idx, k], right[idx, k]
+    abs_b = np.abs(left_k - right_k)
+    rel_b = abs_b / np.maximum(np.maximum(np.max(np.abs(left), axis=1),
+                                          np.max(np.abs(right), axis=1)), 1.0)
+    worst_a, worst_b = float(np.max(rel_a)), float(np.max(rel_b))
+
+    # each row shows the identity with the larger residual, (b) on a tie
+    pick_b = rel_b >= rel_a
+    columns = [np.where(pick_b, b, a).tolist() for b, a in
+               ((left_k, lhs_a), (right_k, rhs_a), (abs_b, abs_a), (rel_b, rel_a))]
+    rows = [PointResidual(tuple(y), lhs, rhs, e, r)
+            for y, lhs, rhs, e, r in zip(pts.tolist(), *columns)]
     report = ResidualReport(
         suite="proof-identities", tolerance=TOL_PROOF_IDENTITY, rows=rows,
         details={"norm_transport": worst_a, "gradient_transport": worst_b},
@@ -549,7 +550,7 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     details["roundtrip"] = float(np.max(np.maximum(e_fwd, e_bwd)))
     gates.append(details["roundtrip"] <= tol)
 
-    refl = max(abs(abs(reflection_determinant(y)) - 1.0) for y in pts)
+    refl = float(np.max(np.abs(np.abs(reflection_determinant(pts)) - 1.0)))
     details["reflection_determinant"] = refl
     gates.append(refl <= TOL_REFLECTION_DET)
 
@@ -566,16 +567,14 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
 
     if spec.matrix is not None:
         detm = spec.matrix.det
-        inv = np.array([det_invariant(ctx, y) for y in pts])
+        inv = det_invariant(ctx, pts)
         details["det_invariant"] = float(np.max(np.abs(inv - detm) / detm))
         gates.append(details["det_invariant"] <= TOL_LEMMA_DET)
 
-        jac_scale = 0.0
-        for y in pts[:20]:
-            d1 = jacobian_matrix(ctx, y)
-            d2 = jacobian_matrix(ctx, 2.0 * y)
-            jac_scale = max(jac_scale, float(np.max(np.abs(d2 - d1 / 4.0))
-                                             / np.max(np.abs(d1))))
+        d1 = jacobian_matrix(ctx, pts[:20])
+        d2 = jacobian_matrix(ctx, 2.0 * pts[:20])
+        jac_scale = float(np.max(np.max(np.abs(d2 - d1 / 4.0), axis=(1, 2))
+                                 / np.max(np.abs(d1), axis=(1, 2))))
         details["jacobian_scaling"] = jac_scale
         gates.append(jac_scale <= tol)
 
@@ -616,6 +615,9 @@ def run_counterexample_scan(spec: NormSpec | None = None) -> ResidualReport:
     else:
         dirs = cube_directions(_SCAN_DIRECTIONS, spec.dim, skip=7)
         dirs /= np.sqrt(np.sum(dirs * dirs, axis=-1))[:, None]
+    # one direction at a time: a batched quartic jet rounds through numpy's
+    # SIMD `pow`, which moves 14 of these 64 invariants (140 of 1,000 on the
+    # unit circle, by up to 2.5e-15 relative) and the bytes of this suite
     vals = np.array([det_invariant(ctx, d) for d in dirs])
     spread = float((vals.max() - vals.min()) / vals.min())
     scale_defect = max(

@@ -201,6 +201,21 @@ def test_csv_and_table_formats(tmp_path):
     assert "PASS" in out2.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_csv_and_table_skip_the_json_document(fmt, tmp_path, monkeypatch):
+    from finslerkelvin.report import ResidualReport
+
+    def refuse(self):
+        raise AssertionError("to_dict called outside JSON output")
+
+    monkeypatch.setattr(ResidualReport, "to_dict", refuse)
+    args = ["--format", fmt, "--out", str(tmp_path / "r")] + FAST
+    assert main(["identities", "--norm", "euclidean:2"] + args) == EXIT_PASS
+    # the verdict still reaches the exit code
+    assert main(["counterexample", "--norm", "riemannian:[[4,0],[0,1]]"]
+                + args) == EXIT_VERIFICATION
+
+
 def test_all_csv_rows_have_the_header_width(tmp_path):
     out = tmp_path / "r.csv"
     code = main(["all", "--norm", "euclidean:3", "--format", "csv",

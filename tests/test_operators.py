@@ -246,6 +246,10 @@ def test_numeric_jet_evaluates_the_whole_stencil_in_one_call():
     # one step for both derivatives: the full rows alone
     numeric_jet(field, x, step=1e-3, refinement=1)
     assert calls == [1, 18]
+    calls.clear()
+    # a batch of k points: the points, then every row's stencil
+    numeric_jet(field, np.stack([x, 1.5 * x, -x]))
+    assert calls == [3, 3 * 72]
 
 
 def test_quartic_coefficient_route(rng):
