@@ -97,8 +97,9 @@ def _parse_annulus(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"annulus must be 'h_min,h_max', got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"annulus bounds must satisfy 0 < h_min < h_max, got {text!r}")
+    if not (0.0 < lo < hi < float("inf")):
+        raise ValueError(
+            f"annulus bounds must be finite with 0 < h_min < h_max, got {text!r}")
     return lo, hi
 
 

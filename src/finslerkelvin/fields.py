@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import Jet2, NormSpec, _jet, libm_pow, row_dot, row_outer
+from .norms import Jet2, NormSpec, _jet, row_dot, row_outer
 
 __all__ = [
     "ScalarField",
@@ -232,8 +232,8 @@ def norm_power_field(spec: NormSpec, exponent: float, name=None) -> ScalarField:
     """H(x)^p for a built-in norm; jets from the norm's analytic jet.
 
     Defined away from the origin for negative or fractional exponents.  The
-    jet raises H to its powers with ``libm_pow``, the rounding of Python's
-    float ``**``.
+    jet raises H to its powers with ``np.float_power``, the C library's
+    ``pow`` per element and so the rounding of Python's float ``**``.
     """
     p = float(exponent)
 
@@ -242,13 +242,13 @@ def norm_power_field(spec: NormSpec, exponent: float, name=None) -> ScalarField:
 
     def jet(x):
         j = spec.jet(x)
-        hp1 = libm_pow(j.value, p - 1.0)
+        hp1 = np.float_power(j.value, p - 1.0)
         grad = (p * hp1)[..., None] * j.gradient
         hess = p * (
-            ((p - 1.0) * libm_pow(j.value, p - 2.0))[..., None, None]
+            ((p - 1.0) * np.float_power(j.value, p - 2.0))[..., None, None]
             * row_outer(j.gradient, j.gradient)
             + hp1[..., None, None] * j.hessian
         )
-        return _jet(libm_pow(j.value, p), grad, hess)
+        return _jet(np.float_power(j.value, p), grad, hess)
 
     return ScalarField(spec.dim, evaluate, jet=jet, name=name or f"H^{p}")

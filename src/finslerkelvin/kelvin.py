@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, norm_power_field
-from .norms import (Jet2, NormSpec, _unbox, dual_spec, libm_pow, row_dot,
+from .norms import (Jet2, NormSpec, _unbox, dual_spec, row_dot,
                     row_outer)
 from .operators import numeric_jet
 from .sampling import cube_directions
@@ -129,7 +129,7 @@ def jacobian_matrix(ctx: KelvinContext, x) -> np.ndarray:
     j = ctx.spec.jet(pts)
     value = np.asarray(j.value)[..., None, None]
     return ((value * j.hessian - row_outer(j.gradient, j.gradient))
-            / libm_pow(j.value, 2.0)[..., None, None])
+            / np.float_power(j.value, 2)[..., None, None])
 
 
 def jacobian_det(ctx: KelvinContext, x, signed: bool = False):
@@ -149,14 +149,14 @@ def det_invariant(ctx: KelvinContext, x):
 
     Equal to det M at every point for quadratic-form norms; direction-
     dependent in general (the quartic norm is the stock counterexample).
-    The power goes through ``libm_pow``, the rounding of the one-point
-    Python ``**``.
+    The power goes through ``np.float_power``, the C library's ``pow`` per
+    element, so a batch row rounds as the point alone.
     """
     pts = np.asarray(x, dtype=float)
     h = np.asarray(ctx.spec.value(pts))
     if np.any(h == 0.0):
         raise ValueError("inversion map is undefined at the origin")
-    return _unbox(libm_pow(h, 2 * ctx.dim) * jacobian_det(ctx, pts))
+    return _unbox(np.float_power(h, 2 * ctx.dim) * jacobian_det(ctx, pts))
 
 
 def reflection_determinant(y):

@@ -11,11 +11,10 @@ Three families are built in:
   ``RiemannianNorm(np.eye(N))`` through the stacked matmuls,
   ``all --norm euclidean:3 --count 1000`` ran about 11% slower (in-process
   CPU time, median 1.47 -> 1.64 s, slower in 11 of 12 alternating pairs on
-  a 2-vCPU VM); through a two-step ``einsum`` it was slower in 7 of 10
-  pairs (median 1.20 -> 1.24 s, within that VM's swings).  The matrix route
-  does d^2 work and makes more numpy calls per point; revisit once the
-  suites call the norms over whole batches.  Its ``sqrt(sum(x*x))``
-  already rounds the same for one point and for a batch.
+  a 2-vCPU VM), and still about 20% slower once the suites were batched
+  (slower in 6 of 6 pairs).  The matrix route does d^2 work and makes more
+  numpy calls per point.  Its ``sqrt(sum(x*x))`` rounds the same for one
+  point and for a batch.
 * ``QuarticNorm``: H(x) = (x1^4 + 3 x1^2 x2^2 + x2^4)^(1/4) in the plane.
   Its unit ball is uniformly convex but not an ellipse, so its dual norm has
   no closed form and is computed by Newton iteration on the support-function
@@ -178,17 +177,6 @@ def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-def libm_pow(x, p: float) -> np.ndarray:
-    """x ** p per element through the C library's ``pow``.
-
-    That is the rounding of Python's float ``**``, so a batch row rounds as
-    the point alone; numpy's array ``**`` dispatches SIMD kernels that round
-    otherwise on about 5% of inputs at exponents such as -2 and 1.5.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 class NormSpec:
     """Shared contract for the built-in norms.
 
@@ -202,15 +190,13 @@ class NormSpec:
     for every other norm.  It is the one answer to "does the transform
     theory apply, and with which M?" that the other modules ask.  For
     quadratic-form specs every batch row of ``value``, ``dual_value``,
-    ``gradient`` and ``jet`` rounds as that point alone.
+    ``gradient`` and ``jet`` rounds as that point alone, and so do the
+    batch rows of the quartic norm and of its numeric dual: every power is
+    ``np.float_power``, the C library's ``pow`` per element.
     """
 
     dim: int
     matrix: SpdMatrix | None = None
-
-    @property
-    def closed_form_dual(self) -> bool:
-        return self.matrix is not None
 
     def value(self, x):
         raise NotImplementedError
@@ -338,42 +324,39 @@ class QuarticNorm(NormSpec):
         self.dim = 2
 
     @staticmethod
-    def _poly(x1, x2):
-        return x1**4 + 3.0 * x1**2 * x2**2 + x2**4
+    def _parts(pts: np.ndarray):
+        """(x1, x2, x1^2, x2^2, q) per row, q the quartic under the root."""
+        x1, x2 = np.moveaxis(pts, -1, 0)
+        s1, s2 = np.float_power(x1, 2), np.float_power(x2, 2)
+        q = np.float_power(x1, 4) + 3.0 * s1 * s2 + np.float_power(x2, 4)
+        return x1, x2, s1, s2, q
 
     @staticmethod
-    def _poly_gradient(x1, x2):
-        return np.stack(
-            [4.0 * x1**3 + 6.0 * x1 * x2**2, 6.0 * x1**2 * x2 + 4.0 * x2**3],
-            axis=-1,
-        )
+    def _poly_gradient(x1, x2, s1, s2):
+        return np.stack([4.0 * np.float_power(x1, 3) + 6.0 * x1 * s2,
+                         6.0 * s1 * x2 + 4.0 * np.float_power(x2, 3)], axis=-1)
 
     def value(self, x):
-        pts = _as_points(x, 2)
-        return self._poly(pts[..., 0], pts[..., 1]) ** 0.25
+        *_, q = self._parts(_as_points(x, 2))
+        return np.float_power(q, 0.25)
 
     def gradient(self, x):
-        pts = _as_points(x, 2)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        q = self._poly(x1, x2)
-        return 0.25 * q[..., None] ** -0.75 * self._poly_gradient(x1, x2)
+        x1, x2, s1, s2, q = self._parts(_as_points(x, 2))
+        w1 = 0.25 * np.float_power(q, -0.75)
+        return w1[..., None] * self._poly_gradient(x1, x2, s1, s2)
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, 2)
         _check_not_origin(pts)
-        # one point unpacks to numpy scalars, whose ** rounds like libm's pow
-        x1, x2 = np.moveaxis(pts, -1, 0)
-        q = self._poly(x1, x2)
-        gq = self._poly_gradient(x1, x2)
+        x1, x2, s1, s2, q = self._parts(pts)
+        gq = self._poly_gradient(x1, x2, s1, s2)
         off = 12.0 * x1 * x2
-        hq = np.stack(
-            [12.0 * x1**2 + 6.0 * x2**2, off, off, 6.0 * x1**2 + 12.0 * x2**2],
-            axis=-1,
-        ).reshape(pts.shape + (2,))
-        w1 = (0.25 * q**-0.75)[..., None]
-        w2 = (0.1875 * q**-1.75)[..., None, None]
-        hess = w1[..., None] * hq - w2 * (gq[..., :, None] * gq[..., None, :])
-        return _jet(q**0.25, w1 * gq, hess)
+        hq = np.stack([12.0 * s1 + 6.0 * s2, off, off, 6.0 * s1 + 12.0 * s2],
+                      axis=-1).reshape(pts.shape + (2,))
+        w1 = (0.25 * np.float_power(q, -0.75))[..., None]
+        w2 = (0.1875 * np.float_power(q, -1.75))[..., None, None]
+        hess = w1[..., None] * hq - w2 * row_outer(gq, gq)
+        return _jet(np.float_power(q, 0.25), w1 * gq, hess)
 
     def dual(self) -> "NumericDualNorm":
         return NumericDualNorm(self)

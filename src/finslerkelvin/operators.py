@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import ScalarField
-from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, libm_pow, row_dot,
+from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, row_dot,
                     row_outer)
 
 __all__ = [
@@ -259,7 +259,7 @@ def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int) -> NLaplaceValue:
     and a bool, a batch jet one value and one flag per row.  For n > 2 the
     coefficient B(xi) vanishes continuously as xi -> 0, so a row with a
     (numerically) zero gradient reads 0 with the degenerate flag set
-    instead of raising.  Powers of H go through ``libm_pow``.
+    instead of raising.  Powers of H go through ``np.float_power``.
     """
     n = int(n)
     if n != spec.dim:
@@ -276,11 +276,11 @@ def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int) -> NLaplaceValue:
         mg = (m @ g[..., None])[..., 0]
         q = row_dot(g, mg)
         core = m + (n - 2.0) * row_outer(mg, mg) / q[:, None, None]
-        value[live] = libm_pow(q, (n - 2.0) / 2.0) * _contract(core, h)
+        value[live] = np.float_power(q, (n - 2.0) / 2.0) * _contract(core, h)
     else:
         j = spec.jet(g)
-        b = (libm_pow(j.value, n - 1.0)[:, None, None] * j.hessian
-             + ((n - 1.0) * libm_pow(j.value, n - 2.0))[:, None, None]
+        b = (np.float_power(j.value, n - 1.0)[:, None, None] * j.hessian
+             + ((n - 1.0) * np.float_power(j.value, n - 2.0))[:, None, None]
              * row_outer(j.gradient, j.gradient))
         value[live] = _contract(b, h)
     if n == 2 and degenerate.any():

@@ -79,7 +79,7 @@ def test_criterion_2_inversion_roundtrip():
         scale = np.maximum(np.max(np.abs(pts), axis=1), 1.0)
         err = float(max(np.max(np.max(np.abs(fwd - pts), axis=1) / scale),
                         np.max(np.max(np.abs(bwd - pts), axis=1) / scale)))
-        if spec.closed_form_dual:
+        if spec.matrix is not None:
             worst_closed = max(worst_closed, err)
         else:
             worst_numeric = max(worst_numeric, err)

@@ -143,6 +143,9 @@ def test_bad_config_exit_code():
     assert main(["semilinear", "--norm", "quartic"]) == EXIT_CONFIG
     # the sample plan needs dim + 1 of the 12 Halton bases
     assert main(["identities", "--norm", "euclidean:12"]) == EXIT_CONFIG
+    # an infinite bound would sample nan points and report a failure
+    assert main(["kelvin", "--norm", "euclidean:3", "--count", "5",
+                 "--annulus", "1,inf"]) == EXIT_CONFIG
 
 
 def test_unevaluable_configuration_exits_2_without_traceback(package_env):

@@ -20,6 +20,7 @@ from finslerkelvin import (
     eval_norm,
     jacobian_matrix,
     kelvin_map,
+    parse_norm,
     reflection_determinant,
     run_kelvin_suite,
 )
@@ -127,12 +128,51 @@ def test_batched_determinants_refuse_a_zero_row(spec, rng):
 
 
 def test_quartic_det_invariant_rows_stay_close_to_points(rng):
-    # numpy's SIMD `pow` rounds batched quartic jets otherwise in the last
-    # bits, so the quartic batch is close to the point loop, not equal
     ctx = KelvinContext(QuarticNorm())
     pts = annulus_points(rng, 2, count=200)
     want = np.array([reference_det_invariant(ctx, y) for y in pts])
-    assert np.max(np.abs(det_invariant(ctx, pts) - want) / want) <= 1e-13
+    assert det_invariant(ctx, pts).tobytes() == want.tobytes()
+
+
+def reference_counterexample_scan(spec):
+    """Rows and details of the scan as one direction at a time."""
+    ctx = KelvinContext(spec)
+    n = verify._SCAN_DIRECTIONS
+    if spec.dim == 2:
+        theta = 2.0 * np.pi * np.arange(n) / n
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    else:
+        dirs = cube_directions(n, spec.dim, skip=7)
+        dirs /= np.sqrt(np.sum(dirs * dirs, axis=-1))[:, None]
+    vals = np.array([reference_det_invariant(ctx, d) for d in dirs])
+    mean = float(vals.mean())
+    rows = [(tuple(d.tolist()), float(v), mean, abs(float(v) - mean),
+             abs(float(v) - mean) / max(abs(float(v)), abs(mean), 1.0))
+            for d, v in zip(dirs, vals)]
+    details = {
+        "invariant_min": float(vals.min()),
+        "invariant_max": float(vals.max()),
+        "spread": float((vals.max() - vals.min()) / vals.min()),
+        "scale_invariance_defect": max(
+            abs(reference_det_invariant(ctx, 2.0 * d) - v) / v
+            for d, v in zip(dirs, vals)),
+    }
+    if isinstance(spec, QuarticNorm):
+        cctx = KelvinContext(RiemannianNorm(random_spd_matrix(2, seed=0)))
+        cvals = np.array([reference_det_invariant(cctx, d) for d in dirs])
+        details["control_spread"] = float(
+            (cvals.max() - cvals.min()) / cvals.min())
+    return rows, details
+
+
+@pytest.mark.parametrize("text", ["quartic", "euclidean:3"])
+def test_counterexample_scan_equals_the_direction_loop(text):
+    spec = parse_norm(text)
+    rep = verify.run_counterexample_scan(spec)
+    rows, details = reference_counterexample_scan(spec)
+    assert [(r.point, r.lhs, r.rhs, r.abs_residual, r.rel_residual)
+            for r in rep.rows] == rows
+    assert {k: rep.details[k] for k in details} == details
 
 
 @pytest.mark.parametrize("spec", SPECS)
