@@ -60,7 +60,7 @@ from .operators import (
     finsler_n_laplacian,
     numeric_jet,
 )
-from .report import PointResidual, ResidualReport
+from .report import PointResidual, ResidualReport, ResidualRows
 from .verify import (
     ManufacturedProblem,
     SamplePlan,

@@ -62,7 +62,7 @@ from .operators import (
     finsler_n_laplacian,
     numeric_jet,
 )
-from .report import PointResidual, ResidualReport, residual_rows
+from .report import ResidualReport, ResidualRows, residual_rows
 from .sampling import cube_directions, halton
 
 __all__ = [
@@ -449,10 +449,8 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
 
     # each row shows the identity with the larger residual, (b) on a tie
     pick_b = rel_b >= rel_a
-    columns = [np.where(pick_b, b, a).tolist() for b, a in
-               ((left_k, lhs_a), (right_k, rhs_a), (abs_b, abs_a), (rel_b, rel_a))]
-    rows = [PointResidual(tuple(y), lhs, rhs, e, r)
-            for y, lhs, rhs, e, r in zip(pts.tolist(), *columns)]
+    rows = ResidualRows(pts, *(np.where(pick_b, b, a) for b, a in (
+        (left_k, lhs_a), (right_k, rhs_a), (abs_b, abs_a), (rel_b, rel_a))))
     report = ResidualReport(
         suite="proof-identities", tolerance=TOL_PROOF_IDENTITY, rows=rows,
         details={"norm_transport": worst_a, "gradient_transport": worst_b},
@@ -543,10 +541,10 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     scale = np.maximum(np.max(np.abs(pts), axis=1), 1.0)
     e_fwd = np.max(np.abs(fwd - pts), axis=1) / scale
     e_bwd = np.max(np.abs(bwd - pts), axis=1) / scale
-    # tolist(): a numpy scalar in a point would render as 'np.float64(...)'
-    rows = [PointResidual(tuple(y), 0.0, 0.0, err, err)
-            for y, err in zip(pts.tolist(), np.maximum(e_fwd, e_bwd).tolist())]
-    details["roundtrip"] = float(np.max(np.maximum(e_fwd, e_bwd)))
+    err = np.maximum(e_fwd, e_bwd)
+    zeros = np.zeros(len(pts))
+    rows = ResidualRows(pts, zeros, zeros, err, err)
+    details["roundtrip"] = float(np.max(err))
     gates.append(details["roundtrip"] <= tol)
 
     refl = float(np.max(np.abs(np.abs(reflection_determinant(pts)) - 1.0)))
@@ -719,7 +717,7 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     cross-check, and the transformed-source round trip."""
     _require_quadratic_form(spec, "the semilinear suite")
     ctx = KelvinContext(spec)
-    rows = []
+    blocks = []
     details: dict = {}
     gates = []
     convergence = None
@@ -727,7 +725,7 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
         prob = manufacture_semilinear(spec, family)
         rep = check_theorem_semilinear(ctx, prob, plan,
                                        convergence=(family == "quadratic"))
-        rows.extend(rep.rows)
+        blocks.append(rep.rows)
         details[f"max_rel[{family}]"] = rep.max_rel_residual()
         gates.append(rep.max_rel_residual() <= TOL_SEMILINEAR)
         if rep.convergence is not None:
@@ -759,7 +757,7 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     gates.append(details["source_roundtrip"] <= TOL_SEMILINEAR)
 
     report = ResidualReport(suite="semilinear", tolerance=TOL_SEMILINEAR,
-                            rows=rows, details=details,
+                            rows=ResidualRows.concat(blocks), details=details,
                             convergence=convergence)
     report.passed = all(gates)
     return report
@@ -772,13 +770,12 @@ def run_nlaplace_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     if spec.dim < 3:
         raise ValueError("the quasilinear suite needs dimension >= 3")
     ctx = KelvinContext(spec)
-    rows = []
     details: dict = {}
     gates = []
 
     u0, g0 = manufacture_nlaplace(spec, "affine")
     rep0 = check_theorem_nlaplace(ctx, u0, g0, plan, tolerance=TOL_SEMILINEAR)
-    rows.extend(rep0.rows)
+    blocks = [rep0.rows]
     details["max_rel[affine]"] = rep0.max_rel_residual()
     gates.append(rep0.passed)
 
@@ -789,9 +786,9 @@ def run_nlaplace_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
         details[f"flagged[quadratic,{mode}]"] = rep.flagged_count()
         gates.append(rep.passed)
         if mode == "numeric":
-            rows.extend(rep.rows)
+            blocks.append(rep.rows)
 
     report = ResidualReport(suite="nlaplace", tolerance=TOL_NLAPLACE,
-                            rows=rows, details=details)
+                            rows=ResidualRows.concat(blocks), details=details)
     report.passed = all(gates)
     return report
