@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the report bytes of eight fixed CLI configurations.
+"""Print the SHA-256 of the report bytes of nine fixed CLI configurations.
 
 A refactor that must not change any reported number runs this before and
 after the change and compares the two listings line by line.  Every
@@ -8,7 +8,8 @@ its report with ``--out``; the status lines the CLI prints are discarded.
 
 The configurations are the three benchmark workloads at plan seed 100
 (``perfbench/run.py`` at workload seed 0), ``all --count 200`` on two
-Euclidean and two seed-pinned Riemannian norms, and one table render.
+Euclidean and two seed-pinned Riemannian norms and on the quartic norm (a
+second plan through the Newton dual), and one table render.
 
 Usage (from the repository root; the package is imported from ``src/``):
 
@@ -49,7 +50,8 @@ def configurations() -> list[tuple[str, list[str]]]:
     for name, norm in (("euclidean:2", "euclidean:2"),
                        ("euclidean:4", "euclidean:4"),
                        ("random_spd_matrix(3,5)", _riemannian(3, 5)),
-                       ("random_spd_matrix(2,7)", _riemannian(2, 7))):
+                       ("random_spd_matrix(2,7)", _riemannian(2, 7)),
+                       ("quartic", "quartic")):
         configs.append((f"all {name} --count 200",
                         ["all", "--norm", norm, "--count", "200"]))
     configs.append(("all euclidean:3 --count 100 --format table",

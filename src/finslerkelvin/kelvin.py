@@ -17,6 +17,10 @@ pullbacks below intertwine the divergence-form operators of H and its dual
 (see `verify`).  For the quartic norm the same scalar varies with
 direction, which `verify.run_counterexample_scan` demonstrates.
 
+``kelvin_map`` evaluates the norm once per point set (H and gradH from one
+``NormSpec.value_gradient`` call), and ``kelvin_inverse`` is the dual norm's
+own map, one Newton solve for the quartic norm's numeric dual.
+
 Transforms of scalar fields:
 
 * ``hat_transform``:  u  ->  H(y)^(2-N) * u(T(y))   (weighted pullback)
@@ -86,23 +90,27 @@ class KelvinContext:
         return f"<KelvinContext {self.spec.canonical()} dim={self.dim}>"
 
 
-def kelvin_map(ctx: KelvinContext, x):
-    """T(x) = gradH(x) / H(x); vectorised over leading axes."""
+def _inversion(spec: NormSpec, x):
+    """(H(x), T(x)) of `spec` from one norm evaluation, refusing H = 0."""
     pts = np.asarray(x, dtype=float)
-    h = np.asarray(ctx.spec.value(pts))
+    if not pts.any(axis=-1).all():
+        raise ValueError("inversion map is undefined at the origin")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h, grad = spec.value_gradient(pts)
+    h = np.asarray(h)
     if np.any(h == 0.0):
         raise ValueError("inversion map is undefined at the origin")
-    out = ctx.spec.gradient(pts) / h[..., None]
-    return out
+    return h, grad / h[..., None]
+
+
+def kelvin_map(ctx: KelvinContext, x):
+    """T(x) = gradH(x) / H(x); vectorised over leading axes."""
+    return _inversion(ctx.spec, x)[1]
 
 
 def kelvin_inverse(ctx: KelvinContext, y):
     """Inverse of the inversion map: the dual norm's own inversion map."""
-    pts = np.asarray(y, dtype=float)
-    h = np.asarray(ctx.dual.value(pts))
-    if np.any(h == 0.0):
-        raise ValueError("inversion map is undefined at the origin")
-    return ctx.dual.gradient(pts) / h[..., None]
+    return _inversion(ctx.dual, y)[1]
 
 
 def _quadratic_form(ctx: KelvinContext, pts: np.ndarray):
@@ -265,9 +273,7 @@ def hat_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
         return out
 
     def evaluate(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.asarray(ctx.spec.value(pts)) ** (2.0 - ctx.dim) * u(
-            kelvin_map(ctx, pts)
-        )
+        h, t = _inversion(ctx.spec, pts)
+        return h ** (2.0 - ctx.dim) * u(t)
 
     return _numeric_jet_field(ctx.dim, evaluate, f"hat({u.name})")

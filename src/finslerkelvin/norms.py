@@ -37,6 +37,7 @@ H(x) grad H°(grad H(x)) = x.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -180,17 +181,20 @@ def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class NormSpec:
     """Shared contract for the built-in norms.
 
-    ``value`` and ``gradient`` broadcast over leading axes.  ``jet`` takes
-    one point of shape (d,) or a batch of shape (n, d) and returns one
-    :class:`Jet2` of the matching shapes; it refuses a batch with any zero
-    row.  Instances are immutable after construction and every method is a
-    pure function, so specs can be shared freely across threads.
+    ``value``, ``gradient`` and ``value_gradient`` broadcast over leading
+    axes; ``value_gradient(x)`` is (H(x), grad H(x)) from one evaluation
+    (one Newton solve for the numeric dual), bit for bit ``(value(x),
+    gradient(x))``.  ``jet`` takes one point (d,) or a batch (n, d) and
+    returns one :class:`Jet2` of the matching shapes; it refuses a batch
+    with any zero row.  Instances are immutable after construction and
+    every method is a pure function, so specs can be shared freely across
+    threads.
 
     ``matrix`` is M for quadratic-form norms H(x) = sqrt(<Mx, x>) and None
     for every other norm.  It is the one answer to "does the transform
     theory apply, and with which M?" that the other modules ask.  For
     quadratic-form specs every batch row of ``value``, ``dual_value``,
-    ``gradient`` and ``jet`` rounds as that point alone, and so do the
+    ``value_gradient`` and ``jet`` rounds as that point alone, and so do the
     batch rows of the quartic norm and of its numeric dual: every power is
     ``np.float_power``, the C library's ``pow`` per element.
     """
@@ -201,8 +205,11 @@ class NormSpec:
     def value(self, x):
         raise NotImplementedError
 
-    def gradient(self, x):
+    def value_gradient(self, x):
         raise NotImplementedError
+
+    def gradient(self, x):
+        return self.value_gradient(x)[1]
 
     def jet(self, x) -> Jet2:
         raise NotImplementedError
@@ -250,9 +257,9 @@ class RiemannianNorm(NormSpec):
     def value(self, x):
         return self._form(_as_points(x, self.dim), self.matrix.entries)[1]
 
-    def gradient(self, x):
+    def value_gradient(self, x):
         mx, h = self._form(_as_points(x, self.dim), self.matrix.entries)
-        return mx / h[..., None]
+        return h, mx / h[..., None]
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, self.dim)
@@ -289,9 +296,10 @@ class EuclideanNorm(NormSpec):
         pts = _as_points(x, self.dim)
         return np.sqrt(np.sum(pts * pts, axis=-1))
 
-    def gradient(self, x):
+    def value_gradient(self, x):
         pts = _as_points(x, self.dim)
-        return pts / self.value(pts)[..., None]
+        h = self.value(pts)
+        return h, pts / h[..., None]
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, self.dim)
@@ -324,39 +332,39 @@ class QuarticNorm(NormSpec):
         self.dim = 2
 
     @staticmethod
-    def _parts(pts: np.ndarray):
-        """(x1, x2, x1^2, x2^2, q) per row, q the quartic under the root."""
-        x1, x2 = np.moveaxis(pts, -1, 0)
+    def _eval(pts: np.ndarray, order: int):
+        """H per row, with grad H at `order` 1 and also D^2 H at 2."""
+        x1, x2 = pts[..., 0], pts[..., 1]
         s1, s2 = np.float_power(x1, 2), np.float_power(x2, 2)
         q = np.float_power(x1, 4) + 3.0 * s1 * s2 + np.float_power(x2, 4)
-        return x1, x2, s1, s2, q
-
-    @staticmethod
-    def _poly_gradient(x1, x2, s1, s2):
-        return np.stack([4.0 * np.float_power(x1, 3) + 6.0 * x1 * s2,
-                         6.0 * s1 * x2 + 4.0 * np.float_power(x2, 3)], axis=-1)
+        h = np.float_power(q, 0.25)
+        if order == 0:
+            return h
+        g1 = 4.0 * np.float_power(x1, 3) + 6.0 * x1 * s2
+        g2 = 6.0 * s1 * x2 + 4.0 * np.float_power(x2, 3)
+        w1 = 0.25 * np.float_power(q, -0.75)
+        grad = np.empty(pts.shape)
+        grad[..., 0], grad[..., 1] = w1 * g1, w1 * g2
+        if order == 1:
+            return h, grad
+        w2 = 0.1875 * np.float_power(q, -1.75)
+        hess = np.empty(pts.shape + (2,))
+        hess[..., 0, 0] = w1 * (12.0 * s1 + 6.0 * s2) - w2 * (g1 * g1)
+        hess[..., 0, 1] = hess[..., 1, 0] = (w1 * (12.0 * x1 * x2)
+                                             - w2 * (g1 * g2))
+        hess[..., 1, 1] = w1 * (6.0 * s1 + 12.0 * s2) - w2 * (g2 * g2)
+        return h, grad, hess
 
     def value(self, x):
-        *_, q = self._parts(_as_points(x, 2))
-        return np.float_power(q, 0.25)
+        return self._eval(_as_points(x, 2), 0)
 
-    def gradient(self, x):
-        x1, x2, s1, s2, q = self._parts(_as_points(x, 2))
-        w1 = 0.25 * np.float_power(q, -0.75)
-        return w1[..., None] * self._poly_gradient(x1, x2, s1, s2)
+    def value_gradient(self, x):
+        return self._eval(_as_points(x, 2), 1)
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, 2)
         _check_not_origin(pts)
-        x1, x2, s1, s2, q = self._parts(pts)
-        gq = self._poly_gradient(x1, x2, s1, s2)
-        off = 12.0 * x1 * x2
-        hq = np.stack([12.0 * s1 + 6.0 * s2, off, off, 6.0 * s1 + 12.0 * s2],
-                      axis=-1).reshape(pts.shape + (2,))
-        w1 = (0.25 * np.float_power(q, -0.75))[..., None]
-        w2 = (0.1875 * np.float_power(q, -1.75))[..., None, None]
-        hess = w1[..., None] * hq - w2 * row_outer(gq, gq)
-        return _jet(np.float_power(q, 0.25), w1 * gq, hess)
+        return _jet(*self._eval(pts, 2))
 
     def dual(self) -> "NumericDualNorm":
         return NumericDualNorm(self)
@@ -384,10 +392,10 @@ class NumericDualNorm(NormSpec):
     def value(self, x):
         return _support_values(self.primal, x)
 
-    def gradient(self, x):
+    def value_gradient(self, x):
         pts = _as_points(x, self.dim)
-        _, xi, _ = _support_points(self.primal, pts.reshape(-1, self.dim))
-        return xi.reshape(pts.shape)
+        lam, xi, _ = _support_points(self.primal, pts.reshape(-1, self.dim))
+        return _unbox(lam.reshape(pts.shape[:-1])), xi.reshape(pts.shape)
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, self.dim)
@@ -421,15 +429,14 @@ def _kkt_matrices(lam, grad, hess) -> np.ndarray:
     n, d = grad.shape
     kkt = np.zeros((n, d + 1, d + 1))
     kkt[:, :d, :d] = lam[:, None, None] * hess
-    kkt[:, :d, d] = grad
-    kkt[:, d, :d] = grad
+    kkt[:, :d, d] = kkt[:, d, :d] = grad
     return kkt
 
 
-def _kkt_residual(xh, lam, jet: Jet2) -> np.ndarray:
-    return np.concatenate(
-        [xh - lam[:, None] * jet.gradient, (1.0 - jet.value)[:, None]], axis=1
-    )
+def _kkt_residual(xh, lam, jet: Jet2):
+    """Stationarity residuals and their max |.| per row (exact np.maximum)."""
+    r = np.column_stack([xh - lam[:, None] * jet.gradient, 1.0 - jet.value])
+    return r, functools.reduce(np.maximum, np.abs(r).T)
 
 
 def _support_points(spec: NormSpec, x: np.ndarray):
@@ -440,66 +447,77 @@ def _support_points(spec: NormSpec, x: np.ndarray):
         x - lam * grad H(xi) = 0,    H(xi) = 1,
 
     warm-started at xi = x / H(x), for every row of `x` (shape (n, d)) at
-    once.  Each iteration solves the KKT systems of the rows still active
-    as one stack; a row leaves the active set once its residual meets the
-    tolerance, and its step is halved (at most 20 times) while its residual
-    fails to shrink.  Returns (lam, xi, iterations) of shapes (n,), (n, d)
-    and (n,); lam is both the multiplier and the maximum value.  Every row
-    is scaled to |x| = 1 internally so the KKT tolerance is meaningful
-    across inputs.  Raises ConvergenceError naming the first row that does
-    not converge.
+    once.  Each iteration solves the KKT systems of the active rows as one
+    stack and halves a row's step (at most 20 times) while its residual
+    fails to shrink.  The state holds the active rows only: a converged row
+    is written out once and dropped, and a full step every row takes
+    replaces the state whole; a row gets the same bits and iterations in
+    any batch.  Returns (lam, xi, iterations) of shapes (n,), (n, d) and
+    (n,); lam is both the multiplier and the maximum value.  Rows are
+    scaled to |x| = 1 so the KKT tolerance is meaningful across inputs.
+    Raises ConvergenceError naming the first row that does not converge.
     """
     scale = np.sqrt(row_dot(x, x))
     if np.any(scale == 0.0):
         raise ValueError("support maximization needs a nonzero direction")
     xh = x / scale[:, None]
-    n = spec.dim
+    lam_out, xi_out = np.empty(len(x)), np.empty_like(xh)
+    iters = np.full(len(x), -1)  # -1 until the row converges
     xi = xh / spec.value(xh)[:, None]
     lam = row_dot(xi, xh)
     j = spec.jet(xi)
-    grad, hess, resid = j.gradient, j.hessian, _kkt_residual(xh, lam, j)
-    iters = np.zeros(len(x), dtype=int)
-    converged = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
+    # state of the active rows: `rows` are their indices into `x`, `stuck`
+    # the positions no halving could improve (they cannot converge)
+    rows, grad, hess = np.arange(len(x)), j.gradient, j.hessian
+    (resid, rnorm), stuck = _kkt_residual(xh, lam, j), []
     for it in range(NEWTON_MAX_ITER):
-        rnorm = np.max(np.abs(resid[active]), axis=1)
         done = rnorm <= NEWTON_KKT_TOL
-        iters[active[done]] = it
-        converged[active[done]] = True
-        active, rnorm = active[~done], rnorm[~done]
-        if active.size == 0:
-            break
-        kkt = _kkt_matrices(lam[active], grad[active], hess[active])
-        step = np.linalg.solve(kkt, resid[active][..., None])[..., 0]
-        # damped update; `todo` holds the positions in `active` still halving
-        todo = np.arange(active.size)
-        t = 1.0
+        if done.any() or len(stuck):
+            out = rows[done]
+            lam_out[out], xi_out[out], iters[out] = lam[done], xi[done], it
+            keep = ~done
+            keep[stuck] = False
+            if not keep.any():
+                break
+            rows, xh, xi, lam, grad, hess, resid, rnorm = (
+                a[keep] for a in (rows, xh, xi, lam, grad, hess, resid, rnorm))
+        kkt = _kkt_matrices(lam, grad, hess)
+        step = np.linalg.solve(kkt, resid[..., None])[..., 0]
+        # damped update of the state positions `todo` still halving
+        todo, t = np.arange(rows.size), 1.0
         for _ in range(20):
-            rows = active[todo]
-            xi_try = xi[rows] + t * step[todo, :n]
-            lam_try = lam[rows] + t * step[todo, n]
-            live = np.flatnonzero(np.any(xi_try != 0.0, axis=1))
-            if live.size:
+            sel = slice(None) if todo.size == rows.size else todo
+            xi_try = xi[sel] + t * step[sel, :-1]
+            lam_try = lam[sel] + t * step[sel, -1]
+            # a trial point at the origin has no jet and is not taken
+            nonzero = np.any(xi_try != 0.0, axis=1)
+            if nonzero.any():
+                live = slice(None) if nonzero.all() else nonzero
                 j_try = spec.jet(xi_try[live])
-                r_try = _kkt_residual(xh[rows[live]], lam_try[live], j_try)
-                take = np.max(np.abs(r_try), axis=1) < rnorm[todo[live]]
-                acc = live[take]
-                r = rows[acc]
-                xi[r], lam[r], resid[r] = xi_try[acc], lam_try[acc], r_try[take]
-                grad[r], hess[r] = j_try.gradient[take], j_try.hessian[take]
+                r_try, rn_try = _kkt_residual(xh[sel][live], lam_try[live], j_try)
+                take = rn_try < rnorm[sel][live]
+                if take.size == rows.size and take.all():
+                    xi, lam, resid, rnorm = xi_try, lam_try, r_try, rn_try
+                    grad, hess = j_try.gradient, j_try.hessian
+                    todo = []
+                    break
+                acc = np.flatnonzero(nonzero)[take]
+                p = todo[acc]
+                xi[p], lam[p], resid[p] = xi_try[acc], lam_try[acc], r_try[take]
+                rnorm[p] = rn_try[take]
+                grad[p], hess[p] = j_try.gradient[take], j_try.hessian[take]
                 todo = np.delete(todo, acc)
                 if todo.size == 0:
                     break
             t *= 0.5
-        # no halving shrank these rows' residuals: they cannot converge
-        active = np.delete(active, todo)
-    if not converged.all():
-        bad = x[np.argmin(converged)]
+        stuck = todo
+    if np.any(iters < 0):
+        bad = x[np.argmax(iters < 0)]
         raise ConvergenceError(
             f"support maximization did not converge in {NEWTON_MAX_ITER} "
             f"iterations for direction {bad.tolist()}"
         )
-    return lam * scale, xi, iters
+    return lam_out * scale, xi_out, iters
 
 
 def _support_values(spec: NormSpec, x):
@@ -518,8 +536,7 @@ def _support_values(spec: NormSpec, x):
 
 def eval_norm(spec: NormSpec, x):
     """H(x).  Vectorised over leading axes; the origin maps to 0."""
-    v = spec.value(x)
-    return float(v) if np.ndim(v) == 0 else v
+    return _unbox(spec.value(x))
 
 
 def norm_jet(spec: NormSpec, x) -> Jet2:
@@ -529,8 +546,7 @@ def norm_jet(spec: NormSpec, x) -> Jet2:
 
 def dual_norm(spec: NormSpec, x):
     """Dual norm H°(x) = sup{<xi, x> : H(xi) <= 1}."""
-    v = spec.dual_value(x)
-    return float(v) if np.ndim(v) == 0 else v
+    return _unbox(spec.dual_value(x))
 
 
 def dual_spec(spec: NormSpec) -> NormSpec:

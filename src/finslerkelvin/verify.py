@@ -40,6 +40,7 @@ from .fields import (
 )
 from .kelvin import (
     KelvinContext,
+    _inversion,
     det_invariant,
     hat_transform,
     jacobian_matrix,
@@ -328,8 +329,8 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
     uhat = hat_transform(ctx, prob.u)
     pts = plan.points(ctx.spec)
     n = ctx.dim
-    h = np.asarray(ctx.spec.value(pts))
-    rhs_vals = np.asarray(prob.f(kelvin_map(ctx, pts))) / h ** (n + 2)
+    h, t = _inversion(ctx.spec, pts)
+    rhs_vals = np.asarray(prob.f(t)) / h ** (n + 2)
 
     def lhs_of(jet):
         return -anisotropic_laplacian(ctx.dual, jet)
@@ -370,8 +371,8 @@ def check_theorem_nlaplace(ctx: KelvinContext, u: ScalarField, g: ScalarField,
         raise ValueError("the quasilinear transform theorem needs dimension >= 3")
     ustar = star_transform(ctx, u)
     pts = plan.points(ctx.spec)
-    h = np.asarray(ctx.spec.value(pts))
-    rhs_vals = np.asarray(g(kelvin_map(ctx, pts))) / h ** (2 * n)
+    h, t = _inversion(ctx.spec, pts)
+    rhs_vals = np.asarray(g(t)) / h ** (2 * n)
 
     def lhs_of(jet):
         gnorm = np.sqrt(row_dot(jet.gradient, jet.gradient))
@@ -427,7 +428,7 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     def apply(mat, vec):
         return (mat @ vec[..., None])[..., 0]
 
-    hy = np.asarray(spec.value(pts))
+    hy, t = _inversion(spec, pts)
     dt = jacobian_matrix(ctx, pts)
     lhs_a = np.asarray(spec.dual_value(apply(dt, xis))) * np.float_power(hy, 2)
     rhs_a = np.asarray(spec.value(xis))
@@ -436,7 +437,7 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
 
     jp = spec.jet(ps)
     left = jp.value[:, None] * apply(
-        jacobian_matrix(dual_ctx, kelvin_map(ctx, pts)), jp.gradient)
+        jacobian_matrix(dual_ctx, t), jp.gradient)
     jq = ctx.dual.jet(apply(dt, ps))
     right = (np.float_power(hy, 4) * jq.value)[:, None] * jq.gradient
     idx = np.arange(count)
@@ -690,14 +691,11 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
             e = np.zeros(n)
             e[i] = _WEAK_FD_STEP
             p[:, i] = (ustar(pts + e) - ustar(pts - e)) / (2.0 * _WEAK_FD_STEP)
-        hy = np.asarray(ctx.spec.value(pts))
-        hdual = np.asarray(ctx.dual.value(p))
-        gdual = ctx.dual.gradient(p)
+        hy, t = _inversion(ctx.spec, pts)
+        hdual, gdual = ctx.dual.value_gradient(p)
         lhs = float(np.sum(hy ** (4 - 2 * n) * hdual
                            * np.sum(gdual * dpsi, axis=-1)) * cell)
-        rhs = float(np.sum(hy ** (-2 * n)
-                           * np.asarray(prob.f(kelvin_map(ctx, pts)))
-                           * psi) * cell)
+        rhs = float(np.sum(hy ** (-2 * n) * prob.f(t) * psi) * cell)
         errors.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return {
         "box_errors": errors,
@@ -741,14 +739,13 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     n = ctx.dim
 
     def fhat(points):
-        pts = np.asarray(points, dtype=float)
-        return (np.asarray(prob.f(kelvin_map(ctx, pts)))
-                / np.asarray(ctx.spec.value(pts)) ** (n + 2))
+        h, t = _inversion(ctx.spec, points)
+        return np.asarray(prob.f(t)) / h ** (n + 2)
 
     dual_ctx = KelvinContext(ctx.dual)
     pts = plan.points(spec)
-    back = (np.asarray(fhat(kelvin_map(dual_ctx, pts)))
-            / np.asarray(ctx.dual.value(pts)) ** (n + 2))
+    h_dual, t_dual = _inversion(dual_ctx.spec, pts)
+    back = np.asarray(fhat(t_dual)) / h_dual ** (n + 2)
     f_vals = np.asarray(prob.f(pts))
     details["source_roundtrip"] = float(
         np.max(np.abs(back - f_vals)

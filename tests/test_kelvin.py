@@ -1,5 +1,7 @@
 """The inversion map, its Jacobian calculus, and the pullback transforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,25 @@ def test_map_rejects_origin():
         kelvin_map(ctx, [0.0, 0.0])
     with pytest.raises(ValueError, match="origin"):
         kelvin_inverse(ctx, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("point, underflow", [
+    ([0.0, 0.0], False),
+    ([[1.0, 2.0], [0.0, 0.0]], False),
+    ([[1.0, 2.0], [1e-200, 0.0]], True),
+])
+def test_map_and_inverse_refuse_the_origin_without_warnings(point, underflow):
+    # an underflow row is nonzero, but its H rounds to 0
+    for ctx in (KelvinContext(EuclideanNorm(2)), KelvinContext(DIAG41),
+                KelvinContext(QuarticNorm())):
+        for transform in (kelvin_map, kelvin_inverse):
+            if underflow and ctx.dual.matrix is None and transform is kelvin_inverse:
+                continue  # the numeric dual's Newton solve refuses that row
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match="inversion map is undefined at the origin"):
+                    transform(ctx, point)
 
 
 def test_inverse_examples():

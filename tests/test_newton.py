@@ -3,7 +3,7 @@
 `reference_support_point` is the one-direction-at-a-time loop that
 `norms._support_points` replaced: same warm start, KKT tolerance, 20-halving
 damping and failure message.  The batched solve must take exactly as many
-iterations per direction and land on the same maximum.
+iterations per direction and land on the same maximum, bit for bit.
 """
 
 import re
@@ -12,11 +12,28 @@ import numpy as np
 import pytest
 
 from finslerkelvin import norms
-from finslerkelvin.norms import ConvergenceError, NumericDualNorm, QuarticNorm
-from finslerkelvin.verify import SamplePlan
+from finslerkelvin.norms import (ConvergenceError, Jet2, NormSpec,
+                                 NumericDualNorm, QuarticNorm)
+from finslerkelvin.verify import SamplePlan, run_kelvin_suite
 
 # plan of the quartic benchmark run `all --norm quartic --count 1000 --seed 100`
 QUARTIC_PLAN = SamplePlan(count=1000, seed=100)
+
+
+class StretchedQuartic(NormSpec):
+    """The quartic norm of (x1, s x2): far from round for large s, so full
+    Newton steps overshoot and the solve takes damped steps."""
+
+    def __init__(self, s):
+        self.stretch, self.dim = np.array([1.0, s]), 2
+
+    def value(self, x):
+        return QuarticNorm().value(np.asarray(x) * self.stretch)
+
+    def jet(self, x):
+        a = self.stretch
+        j = QuarticNorm().jet(np.asarray(x) * a)
+        return Jet2(j.value, j.gradient * a, a[:, None] * j.hessian * a)
 
 
 def reference_support_point(spec, x):
@@ -64,8 +81,8 @@ def _compare_with_reference(spec, pts):
     ref_lam = np.array([r[0] for r in ref])
     ref_xi = np.array([r[1] for r in ref])
     assert np.array_equal(its, [r[2] for r in ref])
-    assert np.max(np.abs(lam - ref_lam) / ref_lam) <= 1e-15
-    assert np.max(np.abs(xi - ref_xi)) <= 1e-15
+    assert np.array_equal(lam, ref_lam)
+    assert np.array_equal(xi, ref_xi)
     return its
 
 
@@ -82,6 +99,47 @@ def test_batched_bidual_matches_reference():
     _compare_with_reference(NumericDualNorm(QuarticNorm()), pts)
 
 
+@pytest.mark.parametrize("spec", [QuarticNorm(), NumericDualNorm(QuarticNorm())])
+def test_a_permuted_batch_returns_the_permuted_rows(spec):
+    # converged rows leave the active set at different iterations, so every
+    # row must round alike wherever it sits in the batch
+    pts = QUARTIC_PLAN.points(QuarticNorm())[:300]
+    perm = np.random.default_rng(5).permutation(len(pts))
+    lam, xi, its = norms._support_points(spec, pts)
+    lam_p, xi_p, its_p = norms._support_points(spec, pts[perm])
+    assert len(set(its.tolist())) > 1
+    assert np.array_equal(lam_p, lam[perm])
+    assert np.array_equal(xi_p, xi[perm])
+    assert np.array_equal(its_p, its[perm])
+
+
+def test_damped_steps_match_reference():
+    # some rows take the full step and others halve it in the same iteration
+    theta = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    its = _compare_with_reference(StretchedQuartic(30.0), pts)
+    assert its.max() > 20
+
+
+def test_stalled_rows_fail_like_the_reference(monkeypatch):
+    # below the rounding floor no halving shrinks most residuals, while
+    # rows that reach an exactly zero residual converge beside them
+    monkeypatch.setattr(norms, "NEWTON_KKT_TOL", 0.0)
+    pts = np.vstack([[1.0, 0.0], QUARTIC_PLAN.points(QuarticNorm())[:40]])
+    stalled = []
+    for k, p in enumerate(pts):
+        try:
+            reference_support_point(QuarticNorm(), p)
+        except ConvergenceError:
+            stalled.append(k)
+    assert 0 < len(stalled) < len(pts) - 1 and stalled[0] > 1
+    kept = np.delete(pts, stalled, axis=0)
+    _compare_with_reference(QuarticNorm(), kept)
+    with pytest.raises(ConvergenceError,
+                       match=re.escape(str(pts[stalled[0]].tolist()))):
+        norms._support_points(QuarticNorm(), pts)
+
+
 def test_non_convergence_names_the_first_failing_direction(monkeypatch):
     monkeypatch.setattr(norms, "NEWTON_MAX_ITER", 1)
     # an axis direction meets the tolerance at the warm start
@@ -96,3 +154,18 @@ def test_non_convergence_names_the_first_failing_direction(monkeypatch):
 def test_zero_direction_is_refused():
     with pytest.raises(ValueError, match="nonzero direction"):
         norms._support_points(QuarticNorm(), np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+
+def test_kelvin_suite_solves_each_point_set_once(monkeypatch):
+    # the round trips and the pullback involution need H and T at three
+    # 50-point sets; one solve each gives both
+    sizes = []
+    solve = norms._support_points
+
+    def counting(spec, x):
+        sizes.append(len(x))
+        return solve(spec, x)
+
+    monkeypatch.setattr(norms, "_support_points", counting)
+    run_kelvin_suite(QuarticNorm(), SamplePlan(count=50))
+    assert sizes.count(50) == 3

@@ -194,6 +194,19 @@ def test_quartic_value_and_gradient_equal_its_jet(rng):
         assert np.array_equal(q.gradient(x), j.gradient)
 
 
+@pytest.mark.parametrize("spec", QUADRATIC_BATCH_SPECS + [
+    QuarticNorm(), NumericDualNorm(QuarticNorm())])
+def test_value_gradient_equals_value_and_gradient_bitwise(spec, rng):
+    pts = annulus_points(rng, spec.dim, count=50)
+    for x in (pts, pts[0]):
+        h, g = spec.value_gradient(x)
+        want_h, want_g = spec.value(x), spec.gradient(x)
+        assert type(h) is type(want_h)
+        assert np.asarray(h).tobytes() == np.asarray(want_h).tobytes()
+        assert g.shape == x.shape
+        assert g.tobytes() == want_g.tobytes()
+
+
 def test_batched_jet_rejects_a_zero_row(rng):
     for spec in all_specs():
         pts = annulus_points(rng, spec.dim, count=5)
