@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import Jet2, NormSpec, _jet, row_dot, row_outer
+from .norms import Jet2, NormSpec, _jet, quadratic_form, row_dot, row_outer
 
 __all__ = [
     "ScalarField",
@@ -174,9 +174,9 @@ def quadratic_field(a, b=None, c=0.0, name=None) -> ScalarField:
         return np.einsum("...i,ij,...j->...", pts, sym, pts) + pts @ b + c
 
     def jet(x):
-        sx = (sym @ x[..., None])[..., 0]
+        sx, xsx = quadratic_form(sym, x)
         hess = np.broadcast_to(2.0 * sym, x.shape + (dim,)).copy()
-        return _jet(row_dot(x, sx) + row_dot(x, b) + c, 2.0 * sx + b, hess)
+        return _jet(xsx + row_dot(x, b) + c, 2.0 * sx + b, hess)
 
     return ScalarField(dim, evaluate, jet=jet, name=name or "quadratic")
 
@@ -197,8 +197,8 @@ def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
 
     def jet(x):
         x2 = x * x
-        bx = (bm @ x[..., None])[..., 0]
-        value = np.sum(a * (x2 * x), axis=-1) + row_dot(x, bx) + row_dot(x, cv)
+        bx, xbx = quadratic_form(bm, x)
+        value = np.sum(a * (x2 * x), axis=-1) + xbx + row_dot(x, cv)
         hess = np.broadcast_to(2.0 * bm, x.shape + (dim,)).copy()
         hess[..., diag, diag] += 6.0 * a * x
         return _jet(value, 3.0 * a * x2 + 2.0 * bx + cv, hess)

@@ -41,8 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, norm_power_field
-from .norms import (Jet2, NormSpec, _unbox, dual_spec, row_dot,
-                    row_outer)
+from .norms import (Jet2, NormSpec, _unbox, dual_spec, quadratic_form,
+                    row_dot, row_matvec, row_outer)
 from .operators import numeric_jet
 from .sampling import cube_directions
 
@@ -116,8 +116,7 @@ def kelvin_inverse(ctx: KelvinContext, y):
 def _quadratic_form(ctx: KelvinContext, pts: np.ndarray):
     """(M, Mx, <Mx, x>) per row, refusing a zero row."""
     m = ctx.spec.matrix.entries
-    mx = (m @ pts[..., None])[..., 0]
-    h2 = row_dot(pts, mx)
+    mx, h2 = quadratic_form(m, pts)
     if np.any(h2 == 0.0):
         raise ValueError("inversion map is undefined at the origin")
     return m, mx, h2
@@ -223,7 +222,7 @@ def _pullback_jet(ctx: KelvinContext, u: ScalarField, y: np.ndarray) -> Jet2:
     d2t = map_second_derivative(ctx, y)
     uj = u.jet(kelvin_map(ctx, y))
     dtt = np.swapaxes(dt, -1, -2)
-    grad = (dtt @ uj.gradient[..., None])[..., 0]
+    grad = row_matvec(dtt, uj.gradient)
     hess = (dtt @ uj.hessian @ dt
             + np.einsum("...k,...kij->...ij", uj.gradient, d2t))
     return Jet2(uj.value, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))

@@ -178,6 +178,19 @@ def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
+def row_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x per row of `x`: the stacked product runs the one-point BLAS call on
+    every row, so a point alone and as a batch row round alike."""
+    return (m @ x[..., None])[..., 0]
+
+
+def quadratic_form(m: np.ndarray, x: np.ndarray):
+    """(Mx, <Mx, x>) per row of `x`: the two quantities every quadratic-form
+    norm, its inversion map and its operators are built from."""
+    mx = row_matvec(m, x)
+    return mx, row_dot(x, mx)
+
+
 class NormSpec:
     """Shared contract for the built-in norms.
 
@@ -245,14 +258,9 @@ class RiemannianNorm(NormSpec):
 
     @staticmethod
     def _form(pts: np.ndarray, m: np.ndarray):
-        """(Mx, sqrt(<Mx, x>)) per row of `pts`.
-
-        Stacked column-vector products run the BLAS call of the one-point
-        product on every row, so a point alone and as a batch row round
-        alike.
-        """
-        mx = (m @ pts[..., None])[..., 0]
-        return mx, np.sqrt(np.maximum(row_dot(pts, mx), 0.0))
+        """(Mx, sqrt(<Mx, x>)) per row of `pts`."""
+        mx, q = quadratic_form(m, pts)
+        return mx, np.sqrt(np.maximum(q, 0.0))
 
     def value(self, x):
         return self._form(_as_points(x, self.dim), self.matrix.entries)[1]

@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import ScalarField
-from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, row_dot,
-                    row_outer)
+from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, quadratic_form,
+                    row_dot, row_outer)
 
 __all__ = [
     "NumericJet",
@@ -273,8 +273,7 @@ def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int) -> NLaplaceValue:
     value = np.zeros(grad.shape[:-1])
     if spec.matrix is not None:
         m = spec.matrix.entries
-        mg = (m @ g[..., None])[..., 0]
-        q = row_dot(g, mg)
+        mg, q = quadratic_form(m, g)
         core = m + (n - 2.0) * row_outer(mg, mg) / q[:, None, None]
         value[live] = np.float_power(q, (n - 2.0) / 2.0) * _contract(core, h)
     else:

@@ -47,9 +47,9 @@ REPORT_SCHEMA = "report-v1"
 
 __all__ = [
     "REPORT_SCHEMA",
-    "PointResidual",
     "ResidualRows",
     "ResidualReport",
+    "residuals",
     "residual_rows",
     "render_json",
     "render_csv",
@@ -57,21 +57,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointResidual:
-    point: tuple
-    lhs: float
-    rhs: float
-    abs_residual: float
-    rel_residual: float
-    flag: bool = False
-
-
 class ResidualRows:
     """Per-point residuals as columns: `points` (n, d), four float columns
-    and a bool `flags` column (all False when omitted).  They read as a
-    sequence of `PointResidual`s whose cells leave through ``tolist()``, so
-    each one is a Python float or bool, never a numpy scalar."""
+    and a bool `flags` column (all False when omitted).  The renderers read
+    each column's cells through ``tolist()``, so every cell they write is a
+    Python float or bool, never a numpy scalar."""
 
     def __init__(self, points, lhs, rhs, abs_residual, rel_residual, flags=None):
         self.points = np.asarray(points, dtype=float)
@@ -94,25 +84,19 @@ class ResidualRows:
     def __len__(self) -> int:
         return len(self.lhs)
 
-    def __getitem__(self, i: int) -> PointResidual:
-        return PointResidual(tuple(self.points[i].tolist()),
-                             *(c[i].item() for c in self._columns()[1:]))
 
-    def __iter__(self):
-        return map(PointResidual, map(tuple, self.points.tolist()),
-                   *(c.tolist() for c in self._columns()[1:]))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ResidualRows) and list(self) == list(other)
+def residuals(lhs, rhs):
+    """(|lhs - rhs|, |lhs - rhs| / max(|lhs|, |rhs|, 1)) elementwise."""
+    absr = np.abs(lhs - rhs)
+    return absr, absr / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
 
 
 def residual_rows(points, lhs, rhs, flags=None) -> ResidualRows:
     """Rows from parallel arrays of sample points and both sides."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    absr = np.abs(lhs - rhs)
-    rel = absr / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    return ResidualRows(np.atleast_2d(points), lhs, rhs, absr, rel, flags)
+    return ResidualRows(np.atleast_2d(points), lhs, rhs, *residuals(lhs, rhs),
+                        flags)
 
 
 @dataclass

@@ -97,6 +97,17 @@ def annulus_points(rng, dim, count=100, lo=0.5, hi=2.0):
     return pts * radii[:, None]
 
 
+ROW_COLUMNS = ("points", "lhs", "rhs", "abs_residual", "rel_residual", "flags")
+
+
+def row_tuples(rows, columns=ROW_COLUMNS):
+    """The rows of a `ResidualRows` as tuples of Python scalars, one cell per
+    named column; a point is a tuple of floats."""
+    cells = [map(tuple, rows.points.tolist()) if c == "points"
+             else getattr(rows, c).tolist() for c in columns]
+    return list(zip(*cells))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -39,7 +39,7 @@ from finslerkelvin import verify
 from finslerkelvin.norms import row_dot
 from finslerkelvin.verify import random_spd_matrix
 
-from conftest import annulus_points
+from conftest import annulus_points, row_tuples
 from test_norms import QUADRATIC_BATCH_SPECS
 
 SPECS = QUADRATIC_BATCH_SPECS + [RiemannianNorm(random_spd_matrix(4, seed=0))]
@@ -250,13 +250,14 @@ def test_numeric_nlaplace_rows_equal_the_point_loop(spec):
     h = np.asarray(spec.value(pts))
     rhs = np.asarray(g(kelvin_map(ctx, pts))) / h ** (2 * n)
     assert len(rep.rows) == len(pts)
-    for row, y, r in zip(rep.rows, pts, rhs):
+    for row, y, r in zip(row_tuples(rep.rows), pts, rhs):
+        point, row_lhs, row_rhs, _, _, flag = row
         value, grad, hess, _, _ = reference_numeric_jet(ustar, y)
         lhs = -finsler_n_laplacian(ctx.dual, Jet2(value, grad, hess), n).value
         gnorm = float(np.sqrt(row_dot(grad, grad)))
-        assert row.point == tuple(y.tolist())
-        assert (row.lhs, row.rhs) == (lhs, float(r))
-        assert row.flag == (gnorm < verify.DEGENERATE_GRADIENT_TOL)
+        assert point == tuple(y.tolist())
+        assert (row_lhs, row_rhs) == (lhs, float(r))
+        assert flag == (gnorm < verify.DEGENERATE_GRADIENT_TOL)
 
 
 @pytest.mark.parametrize("spec", [SPECS[0], SPECS[4], SPECS[-1]])
@@ -275,7 +276,7 @@ def test_numeric_semilinear_rows_and_convergence_equal_the_point_loop(spec):
         value, grad, hess, _, _ = reference_numeric_jet(uhat, y, **kw)
         return -anisotropic_laplacian(ctx.dual, Jet2(value, grad, hess))
 
-    assert [(r.lhs, r.rhs) for r in rep.rows] == [
+    assert row_tuples(rep.rows, ("lhs", "rhs")) == [
         (lhs_of(y), float(r)) for y, r in zip(pts, rhs)]
     sel = np.argsort([-float(p @ p) for p in pts])[:5]
     maxres = []

@@ -28,11 +28,12 @@ from finslerkelvin import verify
 from finslerkelvin.sampling import cube_directions
 from finslerkelvin.verify import random_spd_matrix
 
-from conftest import annulus_points
+from conftest import annulus_points, row_tuples
 from test_norms import QUADRATIC_BATCH_SPECS
 
 SPECS = QUADRATIC_BATCH_SPECS + [RiemannianNorm(random_spd_matrix(4, seed=0))]
 PLAN = SamplePlan(count=200, seed=6)
+ROW_CELLS = ("points", "lhs", "rhs", "abs_residual", "rel_residual")
 
 
 def reference_det_invariant(ctx, x):
@@ -170,8 +171,7 @@ def test_counterexample_scan_equals_the_direction_loop(text):
     spec = parse_norm(text)
     rep = verify.run_counterexample_scan(spec)
     rows, details = reference_counterexample_scan(spec)
-    assert [(r.point, r.lhs, r.rhs, r.abs_residual, r.rel_residual)
-            for r in rep.rows] == rows
+    assert row_tuples(rep.rows, ROW_CELLS) == rows
     assert {k: rep.details[k] for k in details} == details
 
 
@@ -179,10 +179,8 @@ def test_counterexample_scan_equals_the_direction_loop(text):
 def test_proof_identity_rows_equal_the_point_loop(spec):
     rep = check_proof_identities(spec, PLAN)
     rows, details = reference_proof_identities(spec, PLAN)
-    assert [(r.point, r.lhs, r.rhs, r.abs_residual, r.rel_residual)
-            for r in rep.rows] == rows
-    assert all(type(v) is float for r in rep.rows
-               for v in (r.lhs, r.rhs, r.abs_residual, r.rel_residual))
+    assert row_tuples(rep.rows, ROW_CELLS) == rows
+    assert all(getattr(rep.rows, c).dtype == np.float64 for c in ROW_CELLS)
     assert rep.details == details
 
 

@@ -12,7 +12,6 @@ from finslerkelvin.fields import ScalarField
 from finslerkelvin.kelvin import KelvinContext
 from finslerkelvin.norms import EuclideanNorm
 from finslerkelvin.report import (
-    PointResidual,
     ResidualReport,
     ResidualRows,
     render_csv,
@@ -26,6 +25,8 @@ from finslerkelvin.verify import (
     check_theorem_semilinear,
     manufacture_semilinear,
 )
+
+from conftest import row_tuples
 
 
 def sample_report():
@@ -44,9 +45,9 @@ def sample_report():
 def test_rows_relative_floor():
     rows = residual_rows([[1.0, 0.0]], [0.0], [3e-7])
     # both sides below 1: the relative residual degrades to the absolute one
-    assert rows[0].rel_residual == pytest.approx(3e-7)
+    assert rows.rel_residual[0] == pytest.approx(3e-7)
     rows = residual_rows([[1.0, 0.0]], [200.0], [100.0])
-    assert rows[0].rel_residual == pytest.approx(0.5)
+    assert rows.rel_residual[0] == pytest.approx(0.5)
 
 
 def _rows_one_at_a_time(points, lhs, rhs, flags=None):
@@ -59,11 +60,9 @@ def _rows_one_at_a_time(points, lhs, rhs, flags=None):
     rows = []
     for p, a, b, fl in zip(points, lhs, rhs, flags):
         absr = abs(a - b)
-        rows.append(PointResidual(
-            point=tuple(float(c) for c in p), lhs=float(a), rhs=float(b),
-            abs_residual=float(absr),
-            rel_residual=float(absr / max(abs(a), abs(b), 1.0)),
-            flag=bool(fl)))
+        rows.append((tuple(float(c) for c in p), float(a), float(b),
+                     float(absr), float(absr / max(abs(a), abs(b), 1.0)),
+                     bool(fl)))
     return rows
 
 
@@ -78,20 +77,17 @@ def test_array_rows_equal_the_per_row_loop_bitwise(rng):
     with np.errstate(invalid="ignore"):
         want = _rows_one_at_a_time(points, lhs, rhs, flags)
         got = residual_rows(points, lhs, rhs, flags)
-    assert [repr(r) for r in got] == [repr(r) for r in want]
-    for row in got:
-        cells = (*row.point, row.lhs, row.rhs, row.abs_residual, row.rel_residual)
-        assert all(type(c) is float for c in cells)
-        assert type(row.flag) is bool
+    assert [repr(r) for r in row_tuples(got)] == [repr(r) for r in want]
+    assert all(c.dtype == np.float64 for c in (got.points, got.lhs, got.rhs,
+                                                got.abs_residual, got.rel_residual))
+    assert got.flags.dtype == bool
 
 
 def test_aggregates_recomputable_from_rows():
     rep = sample_report()
-    active = [r for r in rep.rows if not r.flag]
-    assert rep.max_rel_residual() == max(r.rel_residual for r in active)
-    assert rep.mean_rel_residual() == pytest.approx(
-        sum(r.rel_residual for r in active) / len(active)
-    )
+    active = rep.rows.rel_residual[~rep.rows.flags].tolist()
+    assert rep.max_rel_residual() == max(active)
+    assert rep.mean_rel_residual() == pytest.approx(sum(active) / len(active))
     assert rep.flagged_count() == 1
 
 
@@ -124,11 +120,11 @@ def test_a_nan_row_fails_the_semilinear_theorem():
         out[1] = np.nan  # not the first row: Python's max skipped it
         return out
 
-    bad = ManufacturedProblem(prob.u, ScalarField(3, source), spec, prob.family)
+    bad = ManufacturedProblem(prob.u, ScalarField(3, source), prob.family)
     ctx = KelvinContext(spec)
     assert check_theorem_semilinear(ctx, prob, SamplePlan(count=10)).passed
     rep = check_theorem_semilinear(ctx, bad, SamplePlan(count=10))
-    assert math.isnan(rep.rows[1].rel_residual)
+    assert math.isnan(rep.rows.rel_residual[1])
     assert not rep.passed
 
 
@@ -138,10 +134,10 @@ def test_rows_are_columns_and_concatenate_in_order():
     rows = ResidualRows.concat([a, b])
     assert rows.points.shape == (3, 2)
     assert rows.flags.dtype == bool and rows.lhs.dtype == float
-    assert list(rows) == list(a) + list(b)
-    assert rows[1] == b[0] and rows[-1] == b[1]
-    assert type(rows[0].lhs) is float and type(rows[0].flag) is bool
-    assert type(rows[0].point[0]) is float
+    assert row_tuples(rows) == row_tuples(a) + row_tuples(b)
+    assert row_tuples(rows)[1] == row_tuples(b)[0]
+    assert row_tuples(rows)[-1] == row_tuples(b)[1]
+    assert rows.points.dtype == float
 
 
 def test_json_is_deterministic_and_sorted():
@@ -180,9 +176,9 @@ def test_table_contains_status():
 
 def reference_rows(rows):
     """The rows as `ResidualReport.to_dict` built them before the columns."""
-    return [{"point": list(r.point), "lhs": r.lhs, "rhs": r.rhs,
-             "abs_residual": r.abs_residual, "rel_residual": r.rel_residual,
-             "flag": r.flag} for r in rows]
+    return [{"point": list(point), "lhs": lhs, "rhs": rhs,
+             "abs_residual": absr, "rel_residual": rel, "flag": flag}
+            for point, lhs, rhs, absr, rel, flag in row_tuples(rows)]
 
 
 def reference_render_json(document):
@@ -196,15 +192,16 @@ def reference_render_json(document):
 def reference_render_csv(reports, dim):
     """The per-cell CSV loop that the column rendering replaced."""
     buf = io.StringIO()
-    width = max([dim] + [len(r.point) for rep in reports for r in rep.rows])
+    width = max([dim] + [len(point) for rep in reports
+                         for point, *_ in row_tuples(rep.rows)])
     header = [f"x{i}" for i in range(width)] + ["lhs", "rhs", "abs_residual",
                                                  "rel_residual", "flag"]
     buf.write(",".join(header) + "\n")
     for rep in reports:
-        for r in rep.rows:
-            cells = [repr(c) for c in r.point] + [""] * (width - len(r.point))
-            cells += [repr(r.lhs), repr(r.rhs), repr(r.abs_residual),
-                      repr(r.rel_residual), "1" if r.flag else "0"]
+        for point, lhs, rhs, absr, rel, flag in row_tuples(rep.rows):
+            cells = [repr(c) for c in point] + [""] * (width - len(point))
+            cells += [repr(lhs), repr(rhs), repr(absr),
+                      repr(rel), "1" if flag else "0"]
             buf.write(",".join(cells) + "\n")
     return buf.getvalue()
 

@@ -1,5 +1,7 @@
 """Sample plans, manufactured problems, and the residual suites."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,9 +36,11 @@ from finslerkelvin import (
     run_semilinear_suite,
     weak_form_crosscheck,
 )
+from finslerkelvin import verify
+from finslerkelvin.report import render_json
 from finslerkelvin.verify import QUARTIC_SPREAD_MIN
 
-from conftest import fd_divergence
+from conftest import fd_divergence, row_tuples
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,7 @@ def test_semilinear_constant_u_euclidean3():
     spec = EuclideanNorm(3)
     ctx = KelvinContext(spec)
     prob = ManufacturedProblem(constant_field(3, 1.0),
-                               constant_field(3, 0.0), spec, "constant")
+                               constant_field(3, 0.0), "constant")
     rep = check_theorem_semilinear(ctx, prob, SamplePlan())
     assert rep.max_rel_residual() <= 1e-6
     assert rep.passed
@@ -182,13 +186,15 @@ def test_semilinear_source_scaling_linearity():
     spec = EuclideanNorm(3)
     ctx = KelvinContext(spec)
     prob = manufacture_semilinear(spec, "gaussian-bump")
-    scaled = ManufacturedProblem(prob.u * 2.5, prob.f * 2.5, spec, prob.family)
+    scaled = ManufacturedProblem(prob.u * 2.5, prob.f * 2.5, prob.family)
     plan = SamplePlan(count=20)
     r1 = check_theorem_semilinear(ctx, prob, plan)
     r2 = check_theorem_semilinear(ctx, scaled, plan)
-    for a, b in zip(r1.rows, r2.rows):
-        assert b.lhs == pytest.approx(2.5 * a.lhs, rel=1e-10, abs=1e-12)
-        assert b.rhs == pytest.approx(2.5 * a.rhs, rel=1e-10, abs=1e-12)
+    sides = ("lhs", "rhs")
+    for (lhs1, rhs1), (lhs2, rhs2) in zip(row_tuples(r1.rows, sides),
+                                          row_tuples(r2.rows, sides)):
+        assert lhs2 == pytest.approx(2.5 * lhs1, rel=1e-10, abs=1e-12)
+        assert rhs2 == pytest.approx(2.5 * rhs1, rel=1e-10, abs=1e-12)
 
 
 def test_semilinear_requires_quadratic_form_norm():
@@ -219,10 +225,10 @@ def test_nlaplace_euclidean_halfsquare_values():
     plan = SamplePlan(count=25)
     rep = check_theorem_nlaplace(ctx, u, g, plan, jet_mode="numeric")
     assert rep.max_rel_residual() <= 1e-4
-    for row in rep.rows:
-        expected = -4.0 * np.linalg.norm(row.point) ** -7
-        assert row.rhs == pytest.approx(expected, rel=1e-10)
-        assert row.lhs == pytest.approx(expected, rel=1e-5)
+    for point, lhs, rhs in row_tuples(rep.rows, ("points", "lhs", "rhs")):
+        expected = -4.0 * np.linalg.norm(point) ** -7
+        assert rhs == pytest.approx(expected, rel=1e-10)
+        assert lhs == pytest.approx(expected, rel=1e-5)
 
 
 def test_nlaplace_riemannian_quadratic():
@@ -251,7 +257,7 @@ def test_nlaplace_flags_degenerate_gradient():
 
     g = ScalarField(3, source)
     rep = check_theorem_nlaplace(ctx, u, g, plan)
-    assert rep.rows[0].flag
+    assert rep.rows.flags[0]
     assert rep.flagged_count() == 1
     assert rep.max_rel_residual() <= 1e-4  # flagged row excluded
 
@@ -345,7 +351,7 @@ def test_identity_suite_columns_reproduce_the_point_loop_bitwise(spec):
     plan = SamplePlan(count=150, seed=3)
     rep = run_identity_suite(spec, plan)
     rows, worst = reference_identity_rows(spec, plan)
-    assert [(r.point, r.lhs, r.rhs, r.rel_residual) for r in rep.rows] == rows
+    assert row_tuples(rep.rows, ("points", "lhs", "rhs", "rel_residual")) == rows
     assert {k: rep.details[k] for k in worst} == worst
 
 
@@ -355,8 +361,9 @@ def test_identity_suite_columns_match_the_point_loop_on_quartic():
     rows, worst = reference_identity_rows(QuarticNorm(), plan)
     # last-bit differences of the batched Newton dual can move a row's worst
     # identity among near-ties, so rows compare by their residual size
-    assert [r.point for r in rep.rows] == [row[0] for row in rows]
-    assert max(abs(r.rel_residual - row[3]) for r, row in zip(rep.rows, rows)) <= 1e-14
+    got = row_tuples(rep.rows, ("points", "rel_residual"))
+    assert [point for point, _ in got] == [row[0] for row in rows]
+    assert max(abs(rel - row[3]) for (_, rel), row in zip(got, rows)) <= 1e-14
     for k, v in worst.items():
         assert abs(rep.details[k] - v) <= 1e-14
 
@@ -455,4 +462,61 @@ def test_reports_are_deterministic():
     spec = RiemannianNorm(random_spd_matrix(3, seed=31))
     a = run_identity_suite(spec, SamplePlan()).to_dict()
     b = run_identity_suite(spec, SamplePlan()).to_dict()
-    assert a == b
+    assert render_json({"suites": [a]}) == render_json({"suites": [b]})
+
+
+# ---------------------------------------------------------------------------
+# a NaN past the first row or box fails the gate (Python's max skipped it)
+
+
+def test_a_nan_identity_fails_the_identity_suite():
+    class NanDual(EuclideanNorm):
+        def dual_value(self, x):
+            out = np.array(super().dual_value(x), dtype=float)
+            out[1] = np.nan
+            return out
+
+    assert run_identity_suite(EuclideanNorm(3), SamplePlan(count=10)).passed
+    rep = run_identity_suite(NanDual(3), SamplePlan(count=10))
+    assert math.isnan(rep.details["unit_duality"])
+    assert math.isnan(rep.rows.rel_residual[1])
+    assert math.isnan(rep.max_rel_residual())
+    assert not rep.passed
+
+
+def test_a_nan_gradient_transport_fails_the_proof_identities(monkeypatch):
+    spec = RiemannianNorm(random_spd_matrix(3, seed=8))
+    plan = SamplePlan(count=10)
+    assert check_proof_identities(spec, plan).passed
+    jacobian_matrix = verify.jacobian_matrix
+
+    def planted(ctx, x):
+        out = jacobian_matrix(ctx, x)
+        if ctx.spec != spec:  # the dual map enters identity (b) only
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "jacobian_matrix", planted)
+    rep = check_proof_identities(spec, plan)
+    assert math.isnan(rep.details["gradient_transport"])
+    assert not math.isnan(rep.details["norm_transport"])
+    assert math.isnan(rep.rows.rel_residual[1])
+    assert not rep.passed
+    assert not run_kelvin_suite(spec, plan).passed
+
+
+def test_a_nan_box_fails_the_weak_form_crosscheck():
+    spec = EuclideanNorm(3)
+    prob = manufacture_semilinear(spec, "gaussian-bump")
+    calls = []
+
+    def source(pts):
+        calls.append(len(pts))
+        out = np.array(prob.f(pts), dtype=float)
+        return out * np.nan if len(calls) == 4 else out  # box 3 of 0..4
+
+    bad = ManufacturedProblem(prob.u, ScalarField(3, source), prob.family)
+    quad = weak_form_crosscheck(KelvinContext(spec), bad)
+    assert not any(map(math.isnan, quad["box_errors"][:3]))
+    assert math.isnan(quad["box_errors"][3])
+    assert math.isnan(quad["worst"])
