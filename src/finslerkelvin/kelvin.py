@@ -60,6 +60,14 @@ __all__ = [
 ]
 
 _SELF_CHECK_POINTS = 8
+# Closed-form derivative paths (quadratic-form norms) vs paths that go
+# through the Newton dual; the split mirrors the conditioning of the two.
+TOL_CLOSED_FORM = 1e-8
+TOL_NUMERIC_DUAL = 1e-6
+
+
+def _path_tolerance(spec: NormSpec) -> float:
+    return TOL_CLOSED_FORM if spec.matrix is not None else TOL_NUMERIC_DUAL
 
 
 class KelvinContext:
@@ -67,22 +75,23 @@ class KelvinContext:
 
     Construction evaluates the gradient dualities H(gradH°(x)) = 1 =
     H°(gradH(x)) on a small fixed sample and refuses to build a context
-    whose dual is inconsistent with the primal norm.  Contexts are immutable
-    and safe to share.
+    whose dual is inconsistent with the primal norm (a ValueError, as for
+    any input the calculus cannot take).  Contexts are immutable and safe
+    to share.
     """
 
     def __init__(self, spec: NormSpec):
         self.spec = spec
         self.dual = dual_spec(spec)
         self.dim = spec.dim
-        tol = 1e-8 if spec.matrix is not None else 1e-6
         pts = cube_directions(_SELF_CHECK_POINTS, self.dim, skip=11) * 1.3
         gp = self.spec.jet(pts).gradient
         gd = self.dual.jet(pts).gradient
         worst = float(np.max(np.abs(np.concatenate(
             [self.dual.value(gp), self.spec.value(gd)]) - 1.0)))
-        if worst > tol:
-            raise RuntimeError(
+        # a NaN defect is refused too
+        if not worst <= _path_tolerance(spec):
+            raise ValueError(
                 f"dual norm inconsistent with primal (duality defect {worst:.3e})"
             )
 

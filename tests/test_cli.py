@@ -3,15 +3,18 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from finslerkelvin import RiemannianNorm, format_norm
+from finslerkelvin import RiemannianNorm, SpdMatrix, cli, format_norm
 from finslerkelvin.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_PASS,
     EXIT_VERIFICATION,
+    SUITES,
     RunConfig,
     main,
     parse_config,
@@ -81,7 +84,7 @@ def test_parse_config_rejects_bad_suite_and_format():
 
 
 def test_parse_config_rejects_theorem_suite_on_quartic():
-    with pytest.raises(ValueError, match="riemannian or euclidean"):
+    with pytest.raises(ValueError, match="theorem suites need a quadratic-form norm"):
         parse_config("norm=quartic suite=semilinear")
 
 
@@ -160,6 +163,67 @@ def test_unevaluable_configuration_exits_2_without_traceback(package_env):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: stencil")
     assert "would cross the origin" in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["kelvin", "semilinear", "nlaplace", "all"])
+def test_ill_conditioned_norm_exits_2_without_traceback(suite, package_env):
+    # condition number 1e12: the dual fails the context's duality self-check
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    norm = format_norm(RiemannianNorm(SpdMatrix(q @ np.diag([1.0, 1e6, 1e12]) @ q.T)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslerkelvin", suite, "--norm", norm,
+         "--count", "20"],
+        capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert "error: dual norm inconsistent with primal" in proc.stderr
+
+
+def test_all_run_does_not_import_numpy_random(tmp_path, package_env):
+    code = ("import sys; from finslerkelvin.cli import main; "
+            f"code = main(['all', '--norm', 'quartic', '--count', '5', "
+            f"'--out', {str(tmp_path / 'r.json')!r}]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=package_env, timeout=120)
+    # the status lines come first, since the report goes to a file
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_PASS} False"
+
+
+SKIPS = {
+    "euclidean:3": {},
+    "euclidean:2": {"nlaplace": "needs dimension >= 3"},
+    "quartic": {"semilinear": "theorem suites need a quadratic-form norm",
+                "nlaplace": "theorem suites need a quadratic-form norm"},
+}
+
+
+@pytest.mark.parametrize("norm", list(SKIPS))
+def test_suite_and_config_key_tables(norm, tmp_path, monkeypatch):
+    # every RunConfig field is both a flag and a config key
+    values = {"norm": norm, "suite": "kelvin", "annulus": "0.25,3.0",
+              "count": "7", "seed": "4", "out": "r.json", "format": "csv",
+              "threads": "2"}
+    assert list(values) == [f.name for f in fields(RunConfig)]
+    from_file = parse_config(" ".join(f"{k}={v}" for k, v in values.items()))
+    assert all(getattr(from_file, f.name) != f.default for f in fields(RunConfig)
+               if f.name != "norm")
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    flags = [arg for k, v in values.items() if k != "suite"
+             for arg in (f"--{k}", v)]
+    assert main(flags + [values["suite"]]) == EXIT_PASS
+    assert seen == [from_file]
+    monkeypatch.undo()
+
+    # `all` reports every suite in table order, skips with their reasons
+    out = tmp_path / "all.json"
+    assert main(["all", "--norm", norm, "--count", "10", "--out", str(out)]) in (
+        EXIT_PASS, EXIT_VERIFICATION)
+    suites = json.loads(out.read_text())["suites"]
+    assert [s["suite"] for s in suites] == list(SUITES[:-1])
+    assert {s["suite"]: s["details"]["skipped"] for s in suites
+            if "skipped" in s["details"]} == SKIPS[norm]
 
 
 def test_semilinear_dimension_5_reaches_a_verdict(tmp_path):

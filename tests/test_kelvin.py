@@ -82,6 +82,20 @@ def test_map_rejects_origin():
         kelvin_inverse(ctx, [0.0, 0.0])
 
 
+def test_context_refuses_a_nan_dual():
+    # NaN > tol is False, so a defect gate written that way lets NaN through
+    class NanDual(EuclideanNorm):
+        def value(self, x):
+            return np.full(np.shape(x)[:-1], np.nan)
+
+    class Planted(EuclideanNorm):
+        def dual(self):
+            return NanDual(self.dim)
+
+    with pytest.raises(ValueError, match="duality defect nan"):
+        KelvinContext(Planted(3))
+
+
 @pytest.mark.parametrize("point, underflow", [
     ([0.0, 0.0], False),
     ([[1.0, 2.0], [0.0, 0.0]], False),

@@ -87,6 +87,11 @@ def test_random_spd_is_seed_pinned():
     assert a.eig_min >= 0.5 - 1e-12 and a.eig_max <= 4.0 + 1e-12
 
 
+def test_counterexample_control_is_the_drawn_matrix():
+    drawn = random_spd_matrix(2, seed=0).entries
+    assert np.array(verify._CONTROL_ENTRIES).tobytes() == drawn.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # manufactured problems
 
