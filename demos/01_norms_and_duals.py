@@ -14,11 +14,7 @@ from finslerkelvin import (
     RiemannianNorm,
     SamplePlan,
     check_ellipticity,
-    dual_norm,
-    dual_spec,
     equivalence_constants,
-    eval_norm,
-    norm_jet,
     run_identity_suite,
 )
 
@@ -32,11 +28,11 @@ print("=== values, gradients, duals ===")
 for name, spec in specs:
     x = np.array([1.0, 0.0, 0.0][: spec.dim])
     x[-1] = 0.5
-    j = norm_jet(spec, x)
+    j = spec.jet(x)
     print(f"{name}:")
     print(f"  H({x.tolist()})  = {j.value:.12f}")
     print(f"  gradH         = {np.array2string(j.gradient, precision=6)}")
-    print(f"  H°({x.tolist()}) = {dual_norm(spec, x):.12f}")
+    print(f"  H°({x.tolist()}) = {spec.dual_value(x):.12f}")
     c1, c2 = equivalence_constants(spec)
     print(f"  c1 |x| <= H <= c2 |x| with (c1, c2) = ({c1:.6f}, {c2:.6f})")
     print(f"  uniform-convexity constant (sampled): "
@@ -46,7 +42,7 @@ print()
 print("=== the quartic dual has no closed form: Newton does the work ===")
 q = QuarticNorm()
 for x in ([1.0, 0.0], [1.0, 1.0], [0.3, -0.7]):
-    print(f"  H°({x}) = {dual_norm(q, x):.12f}")
+    print(f"  H°({x}) = {q.dual_value(x):.12f}")
 print(f"  (H°((1,1)) should equal 2/5^0.25 = {2 * 5**-0.25:.12f})")
 
 print()
@@ -62,8 +58,8 @@ for name, spec in specs:
 print()
 print("=== biduality: the dual of the dual is the norm again ===")
 for name, spec in specs:
-    dual = dual_spec(spec)
+    dual = spec.dual()
     x = np.full(spec.dim, 0.8)
-    h, hdd = eval_norm(spec, x), dual_norm(dual, x)
+    h, hdd = spec.value(x), dual.dual_value(x)
     print(f"{name}: H = {h:.12f}, (H°)° = {hdd:.12f}, "
           f"diff = {abs(h - hdd):.2e}")

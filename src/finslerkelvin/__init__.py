@@ -44,19 +44,12 @@ from .norms import (
     RiemannianNorm,
     SpdMatrix,
     check_ellipticity,
-    dual_norm,
-    dual_spec,
     equivalence_constants,
-    eval_norm,
-    format_norm,
-    norm_jet,
     parse_norm,
 )
 from .operators import (
-    NLaplaceValue,
     NumericJet,
     anisotropic_laplacian,
-    auto_step,
     finsler_n_laplacian,
     numeric_jet,
 )

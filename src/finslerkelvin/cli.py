@@ -95,11 +95,11 @@ class RunConfig:
 def _parse_annulus(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"annulus must be 'h_min,h_max', got {text!r}")
+        raise ValueError(f"expected 'h_min,h_max', got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
     if not (0.0 < lo < hi < float("inf")):
         raise ValueError(
-            f"annulus bounds must be finite with 0 < h_min < h_max, got {text!r}")
+            f"bounds must be finite with 0 < h_min < h_max, got {text!r}")
     return lo, hi
 
 
@@ -108,6 +108,14 @@ def _parse_annulus(text: str) -> tuple[float, float]:
 _CONVERTERS = {**{f.name: str for f in fields(RunConfig)},
                "annulus": _parse_annulus, "count": int, "seed": int,
                "threads": int, "out": lambda text: text or None}
+
+
+def _convert(key: str, text: str):
+    """`text` as the value of config key `key`; a bad value names the key."""
+    try:
+        return _CONVERTERS[key](text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _refusal(suite: str, spec: NormSpec) -> str | None:
@@ -171,7 +179,10 @@ def parse_config(text: str) -> RunConfig:
             if key == "dim":
                 dim_override = int(val)
             elif key in _CONVERTERS:
-                values[key] = _CONVERTERS[key](val)
+                try:
+                    values[key] = _convert(key, val)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
             else:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
     return _validate(RunConfig(**values), dim_override)
@@ -199,12 +210,16 @@ def run(config: RunConfig) -> int:
         reason = _refusal(name, spec)
         if reason is not None:
             reports.append(_skip_report(name, reason))
-        elif every and name == "counterexample":
+            continue
+        try:
             # in `all` the scan keeps its default, the quartic norm;
             # selecting the suite explicitly runs the configured norm
-            reports.append(run_counterexample_scan())
-        else:
-            reports.append(_RUNNERS[name](spec, plan))
+            reports.append(run_counterexample_scan()
+                           if every and name == "counterexample"
+                           else _RUNNERS[name](spec, plan))
+        except (ValueError, ConvergenceError) as exc:
+            exc.args = (f"{name}: {exc}",)  # name the suite that met the input
+            raise
 
     # stdout carries the report itself when there is no --out
     status_out = sys.stdout if config.out is not None else sys.stderr
@@ -296,7 +311,7 @@ def main(argv=None) -> int:
         else:
             config = RunConfig()
         flags = vars(args)
-        overrides = {key: convert(flags[key]) for key, convert in _CONVERTERS.items()
+        overrides = {key: _convert(key, flags[key]) for key in _CONVERTERS
                      if flags[key] is not None}
         config = _validate(replace(config, **overrides), args.dim)
     except (ValueError, TypeError) as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import Jet2, NormSpec, _jet, quadratic_form, row_dot, row_outer
+from .norms import Jet2, NormSpec, _jet, _unbox, quadratic_form, row_dot, row_outer
 
 __all__ = [
     "ScalarField",
@@ -53,7 +53,7 @@ class ScalarField:
         if pts.shape[-1:] != (self.dim,):
             raise ValueError(f"field {self.name!r} expects points in R^{self.dim}")
         out = self._evaluate(pts)
-        return float(out) if np.ndim(out) == 0 else out
+        return _unbox(out)
 
     @property
     def has_jet(self) -> bool:

@@ -41,8 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, norm_power_field
-from .norms import (Jet2, NormSpec, _unbox, dual_spec, quadratic_form,
-                    row_dot, row_matvec, row_outer)
+from .norms import (Jet2, NormSpec, _unbox, quadratic_form, row_dot,
+                    row_matvec, row_outer)
 from .operators import numeric_jet
 from .sampling import cube_directions
 
@@ -82,7 +82,7 @@ class KelvinContext:
 
     def __init__(self, spec: NormSpec):
         self.spec = spec
-        self.dual = dual_spec(spec)
+        self.dual = spec.dual()
         self.dim = spec.dim
         pts = cube_directions(_SELF_CHECK_POINTS, self.dim, skip=11) * 1.3
         gp = self.spec.jet(pts).gradient
@@ -148,16 +148,14 @@ def jacobian_matrix(ctx: KelvinContext, x) -> np.ndarray:
             / np.float_power(j.value, 2)[..., None, None])
 
 
-def jacobian_det(ctx: KelvinContext, x, signed: bool = False):
-    """|det DT(x)| (or the signed determinant for diagnostics).
+def jacobian_det(ctx: KelvinContext, x):
+    """|det DT(x)|: a float at one point, one value per row for a batch.
 
-    A float at one point, one value per row for a batch.  The map is
-    orientation-reversing along radial directions, so the signed
+    The map is orientation-reversing along radial directions, so the signed
     determinant alternates sign with dimension; the absolute value is what
     enters every change-of-variables formula here.
     """
-    d = np.linalg.det(jacobian_matrix(ctx, x))
-    return _unbox(d if signed else np.abs(d))
+    return _unbox(np.abs(np.linalg.det(jacobian_matrix(ctx, x))))
 
 
 def det_invariant(ctx: KelvinContext, x):
@@ -243,11 +241,8 @@ def _numeric_jet_field(dim: int, evaluate, name: str) -> ScalarField:
     Like every ``ScalarField`` jet it takes one point or a batch; a batch
     costs two calls of `evaluate`.
     """
-
-    def jet(y):
-        return numeric_jet(field, y)
-
-    field = ScalarField(dim, evaluate, jet=jet, name=name)
+    field = ScalarField(dim, evaluate, name=name,
+                        jet=lambda y: numeric_jet(field, y))
     return field
 
 

@@ -21,7 +21,7 @@ Three families are built in:
   stationarity system.
 
 The dual norm is H°(x) = sup{<xi, x> : H(xi) <= 1}.  For quadratic-form
-norms it equals sqrt(<M^-1 x, x>); for the quartic norm ``dual_spec``
+norms it equals sqrt(<M^-1 x, x>); for the quartic norm ``dual()``
 returns a ``NumericDualNorm`` wrapper whose value is the Newton maximum,
 whose gradient is the maximizer (envelope property), and whose Hessian
 comes from implicit differentiation of the optimality system.  The Newton
@@ -54,14 +54,9 @@ __all__ = [
     "QuarticNorm",
     "NumericDualNorm",
     "ConvergenceError",
-    "eval_norm",
-    "norm_jet",
-    "dual_norm",
-    "dual_spec",
     "equivalence_constants",
     "check_ellipticity",
     "parse_norm",
-    "format_norm",
 ]
 
 NEWTON_MAX_ITER = 50
@@ -86,8 +81,8 @@ class Jet2:
 
 
 def _unbox(value):
-    """A Python scalar for a one-point result, the array itself for a batch."""
-    return np.asarray(value).item() if np.ndim(value) == 0 else value
+    """A float for a one-point result, the array itself for a batch."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _jet(value, gradient, hessian) -> Jet2:
@@ -194,14 +189,16 @@ def quadratic_form(m: np.ndarray, x: np.ndarray):
 class NormSpec:
     """Shared contract for the built-in norms.
 
-    ``value``, ``gradient`` and ``value_gradient`` broadcast over leading
-    axes; ``value_gradient(x)`` is (H(x), grad H(x)) from one evaluation
-    (one Newton solve for the numeric dual), bit for bit ``(value(x),
-    gradient(x))``.  ``jet`` takes one point (d,) or a batch (n, d) and
-    returns one :class:`Jet2` of the matching shapes; it refuses a batch
-    with any zero row.  Instances are immutable after construction and
-    every method is a pure function, so specs can be shared freely across
-    threads.
+    ``value`` (H), ``dual_value`` (H°(x) = sup{<xi, x> : H(xi) <= 1},
+    without building the dual spec) and ``value_gradient`` broadcast over
+    leading axes; one point gives a float, and ``value`` and ``dual_value``
+    map the origin to 0.  ``value_gradient(x)`` is (H(x), grad H(x)) from
+    one evaluation (one Newton solve for the numeric dual), its value bit
+    for bit ``value(x)``.  ``jet`` takes one point (d,) or a batch (n, d)
+    and returns one :class:`Jet2` of the matching shapes; it refuses a
+    batch with any zero row.  ``dual()`` is the dual norm's spec and
+    ``canonical()`` the text ``parse_norm`` reads back.  Specs are immutable
+    and every method is pure, so they can be shared across threads.
 
     ``matrix`` is M for quadratic-form norms H(x) = sqrt(<Mx, x>) and None
     for every other norm.  It is the one answer to "does the transform
@@ -221,9 +218,6 @@ class NormSpec:
     def value_gradient(self, x):
         raise NotImplementedError
 
-    def gradient(self, x):
-        return self.value_gradient(x)[1]
-
     def jet(self, x) -> Jet2:
         raise NotImplementedError
 
@@ -231,7 +225,6 @@ class NormSpec:
         raise NotImplementedError
 
     def dual_value(self, x):
-        """Dual norm H°(x), without materializing the dual spec."""
         raise NotImplementedError
 
     def canonical(self) -> str:
@@ -535,31 +528,7 @@ def _support_values(spec: NormSpec, x):
     out = np.zeros(flat.shape[0])
     nonzero = np.any(flat != 0.0, axis=1)
     out[nonzero] = _support_points(spec, flat[nonzero])[0]
-    return out.reshape(pts.shape[:-1]) if pts.ndim > 1 else float(out[0])
-
-
-# ---------------------------------------------------------------------------
-# operation-style front end
-
-
-def eval_norm(spec: NormSpec, x):
-    """H(x).  Vectorised over leading axes; the origin maps to 0."""
-    return _unbox(spec.value(x))
-
-
-def norm_jet(spec: NormSpec, x) -> Jet2:
-    """Value, gradient, and Hessian of H at one nonzero point or a batch."""
-    return spec.jet(x)
-
-
-def dual_norm(spec: NormSpec, x):
-    """Dual norm H°(x) = sup{<xi, x> : H(xi) <= 1}."""
-    return _unbox(spec.dual_value(x))
-
-
-def dual_spec(spec: NormSpec) -> NormSpec:
-    """Spec of the dual norm (closed form when available, else numeric)."""
-    return spec.dual()
+    return _unbox(out.reshape(pts.shape[:-1]))
 
 
 def equivalence_constants(spec: NormSpec) -> tuple[float, float]:
@@ -661,8 +630,3 @@ def parse_norm(text: str) -> NormSpec:
     raise ValueError(
         f"unknown norm {text!r}; expected riemannian:[[...]], euclidean:N, or quartic"
     )
-
-
-def format_norm(spec: NormSpec) -> str:
-    """Inverse of :func:`parse_norm` for the built-in specs."""
-    return spec.canonical()

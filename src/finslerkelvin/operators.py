@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +32,6 @@ from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, quadratic_form,
 
 __all__ = [
     "NumericJet",
-    "NLaplaceValue",
-    "auto_step",
     "numeric_jet",
     "anisotropic_laplacian",
     "finsler_n_laplacian",
@@ -47,12 +44,6 @@ _EPS = float(np.finfo(float).eps)
 # remove the extra truncation error.
 _GRAD_STEP = _EPS ** (1.0 / 3.0)
 _HESS_STEP = _EPS ** 0.25
-
-
-def auto_step(point):
-    """Default first-difference step at one point (float) or per batch row."""
-    pt = np.asarray(point, dtype=float)
-    return _unbox(_GRAD_STEP * _length_scale(pt))
 
 
 def _length_scale(pts: np.ndarray) -> np.ndarray:
@@ -70,16 +61,6 @@ class NumericJet(Jet2):
 
     gradient_error: float | np.ndarray = float("nan")
     hessian_error: float | np.ndarray = float("nan")
-
-
-class NLaplaceValue(NamedTuple):
-    """Quasilinear operator value plus a degenerate-gradient flag.
-
-    A float and a bool at one point; arrays of one entry per row for a batch.
-    """
-
-    value: float | np.ndarray
-    degenerate: bool | np.ndarray
 
 
 def _richardson(values: np.ndarray):
@@ -243,23 +224,20 @@ def anisotropic_laplacian(spec: NormSpec, jet: Jet2):
     return _unbox(_contract(_coefficient_matrix(spec, grad), hess))
 
 
-# Below this gradient size the quasilinear coefficient is treated as fully
-# degenerate; far larger than underflow, far smaller than any sane jet.  Its
-# job is to keep the division by q = <M grad, grad> below (and the norm jet
-# at grad) away from a zero gradient.  The much larger
-# verify.DEGENERATE_GRADIENT_TOL (1e-8) is a different threshold: it flags
-# report rows whose relative residual means nothing.
+# Division guard, far above underflow and far below any sane jet: rows with a
+# smaller gradient skip the division by q = <M grad, grad> (and the norm jet
+# at grad) below.  It flags nothing; verify.DEGENERATE_GRADIENT_TOL does.
 _DEGENERATE_GRADIENT = 1e-140
 
 
-def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int) -> NLaplaceValue:
+def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int):
     """trace(B(grad u) D^2 u) for the dimension-tied quasilinear operator.
 
-    `n` must equal the spec dimension.  A jet of one point gives a float
-    and a bool, a batch jet one value and one flag per row.  For n > 2 the
-    coefficient B(xi) vanishes continuously as xi -> 0, so a row with a
-    (numerically) zero gradient reads 0 with the degenerate flag set
-    instead of raising.  Powers of H go through ``np.float_power``.
+    `n` must equal the spec dimension.  A jet of one point gives a float, a
+    batch jet an array with one value per row.  For n > 2 the coefficient
+    B(xi) vanishes continuously as xi -> 0, so a row with a (numerically)
+    zero gradient reads exactly 0 instead of raising; for n = 2, B = A and
+    it reads ``anisotropic_laplacian``.  Powers use ``np.float_power``.
     """
     n = int(n)
     if n != spec.dim:
@@ -287,5 +265,4 @@ def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int) -> NLaplaceValue:
         # quadratic-form norms
         value[degenerate] = anisotropic_laplacian(
             spec, Jet2(0.0, grad[degenerate], hess[degenerate]))
-        degenerate = np.zeros_like(degenerate)
-    return NLaplaceValue(_unbox(value), _unbox(degenerate))
+    return _unbox(value)

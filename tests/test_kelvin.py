@@ -12,9 +12,6 @@ from finslerkelvin import (
     RiemannianNorm,
     constant_field,
     det_invariant,
-    dual_norm,
-    dual_spec,
-    eval_norm,
     hat_transform,
     jacobian_det,
     jacobian_matrix,
@@ -70,8 +67,8 @@ def test_map_dual_norm_is_reciprocal(rng):
     for ctx in contexts():
         for x in annulus_points(rng, ctx.dim, count=25):
             y = kelvin_map(ctx, x)
-            h = eval_norm(ctx.spec, x)
-            assert abs(dual_norm(ctx.spec, y) - 1.0 / h) <= 1e-10 / h
+            h = ctx.spec.value(x)
+            assert abs(ctx.spec.dual_value(y) - 1.0 / h) <= 1e-10 / h
 
 
 def test_map_rejects_origin():
@@ -180,10 +177,10 @@ def test_jacobian_det_examples():
     assert jacobian_det(
         KelvinContext(DIAG41), np.array([1.0, 0.0])
     ) == pytest.approx(0.25, rel=1e-14)
-    # orientation information survives through the signed variant
-    assert jacobian_det(
-        KelvinContext(EuclideanNorm(2)), np.array([3.0, 4.0]), signed=True
-    ) == pytest.approx(-1.0 / 625.0, rel=1e-12)
+    # orientation information survives in the determinant of DT itself
+    assert np.linalg.det(jacobian_matrix(
+        KelvinContext(EuclideanNorm(2)), np.array([3.0, 4.0])
+    )) == pytest.approx(-1.0 / 625.0, rel=1e-12)
 
 
 def test_jacobian_always_invertible(rng):
@@ -216,7 +213,7 @@ def test_det_invariant_quartic_frozen_values():
 
     # FD-Jacobian oracle at an arbitrary direction
     x = np.array([0.8, -0.45])
-    oracle = eval_norm(QuarticNorm(), x) ** 4 * abs(
+    oracle = QuarticNorm().value(x) ** 4 * abs(
         np.linalg.det(fd_jacobian(lambda p: kelvin_map(ctx, p), x))
     )
     assert det_invariant(ctx, x) == pytest.approx(oracle, rel=1e-7)
@@ -271,7 +268,7 @@ def test_hat_double_transform_recovers(rng):
     u = quadratic_field(0.4 * np.eye(3), [0.2, -0.1, 0.3], 0.7)
     for spec in (EuclideanNorm(3), RiemannianNorm(random_spd_matrix(3, seed=4))):
         ctx = KelvinContext(spec)
-        dual_ctx = KelvinContext(dual_spec(spec))
+        dual_ctx = KelvinContext(spec.dual())
         double = hat_transform(dual_ctx, hat_transform(ctx, u))
         for x in annulus_points(rng, 3, count=100):
             expected = u(x)
@@ -288,17 +285,17 @@ def test_star_constant_is_constant(rng):
 def test_star_of_dual_norm_field(rng):
     # H°(T(y)) = 1/H(y)
     for ctx in contexts():
-        field = norm_power_field(dual_spec(ctx.spec), 1.0)
+        field = norm_power_field(ctx.spec.dual(), 1.0)
         ustar = star_transform(ctx, field)
         for y in annulus_points(rng, ctx.dim, count=10):
-            assert abs(ustar(y) - 1.0 / eval_norm(ctx.spec, y)) <= 1e-10
+            assert abs(ustar(y) - 1.0 / ctx.spec.value(y)) <= 1e-10
 
 
 def test_star_involution(rng):
     u = quadratic_field(0.3 * np.eye(2), [0.1, 0.4], -0.2)
     for spec in (DIAG41, QuarticNorm()):
         ctx = KelvinContext(spec)
-        dual_ctx = KelvinContext(dual_spec(spec))
+        dual_ctx = KelvinContext(spec.dual())
         double = star_transform(dual_ctx, star_transform(ctx, u))
         tol = 1e-8 if spec.matrix is not None else 1e-6
         for x in annulus_points(rng, 2, count=100):
@@ -332,5 +329,5 @@ def test_quartic_transform_falls_back_to_numeric_jets(rng):
 def test_context_attributes():
     ctx = KelvinContext(DIAG41)
     assert ctx.dim == 2
-    assert ctx.dual == dual_spec(DIAG41)
+    assert ctx.dual == DIAG41.dual()
     assert "riemannian" in repr(ctx)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from finslerkelvin import RiemannianNorm, cli, format_norm, random_spd_matrix
+from finslerkelvin import RiemannianNorm, cli, random_spd_matrix
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "oracle_error.py"
 
@@ -25,7 +25,7 @@ def oracle_error():
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     out = tmp_path_factory.mktemp("reports") / "semilinear.json"
-    norm = format_norm(RiemannianNorm(random_spd_matrix(3, seed=5)))
+    norm = RiemannianNorm(random_spd_matrix(3, seed=5)).canonical()
     with redirect_stdout(io.StringIO()):
         assert cli.main(["semilinear", "--norm", norm, "--count", "20",
                          "--out", str(out)]) == 0
@@ -67,7 +67,7 @@ def test_a_perturbed_row_reads_large(oracle_error, report, tmp_path):
 @pytest.fixture(scope="module")
 def nlaplace_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("reports") / "nlaplace.json"
-    norm = format_norm(RiemannianNorm(random_spd_matrix(3, seed=5)))
+    norm = RiemannianNorm(random_spd_matrix(3, seed=5)).canonical()
     with redirect_stdout(io.StringIO()):
         assert cli.main(["nlaplace", "--norm", norm, "--count", "20",
                          "--out", str(out)]) == 0

@@ -1,0 +1,33 @@
+"""The public names: each module's `__all__` and the package exports agree."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import finslerkelvin
+
+# `__main__` runs the command when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(finslerkelvin.__path__)
+                 if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"finslerkelvin.{name}")
+    for attr in getattr(module, "__all__", ()):
+        assert hasattr(module, attr), f"{name}.{attr}"
+
+
+def test_package_imports_only_names_in_their_module_all():
+    tree = ast.parse(Path(finslerkelvin.__file__).read_text())
+    imports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names]
+    assert imports
+    for module, name in imports:
+        source = importlib.import_module(f"finslerkelvin.{module}")
+        assert name in source.__all__, f"{module}.{name}"
+        assert getattr(finslerkelvin, name) is getattr(source, name)
