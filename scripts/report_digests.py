@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the report bytes of nine fixed CLI configurations.
+"""Print the SHA-256 of the report bytes of ten fixed CLI configurations.
 
 A refactor that must not change any reported number runs this before and
 after the change and compares the two listings line by line.  Every
@@ -9,7 +9,9 @@ its report with ``--out``; the status lines the CLI prints are discarded.
 The configurations are the three benchmark workloads at plan seed 100
 (``perfbench/run.py`` at workload seed 0), ``all --count 200`` on two
 Euclidean and two seed-pinned Riemannian norms and on the quartic norm (a
-second plan through the Newton dual), and one table render.
+second plan through the Newton dual), one table render, and one CSV render
+of ``all`` (several row blocks, with the planar counterexample rows padded
+to three point columns).
 
 Usage (from the repository root; the package is imported from ``src/``):
 
@@ -57,6 +59,9 @@ def configurations() -> list[tuple[str, list[str]]]:
     configs.append(("all euclidean:3 --count 100 --format table",
                     ["all", "--norm", "euclidean:3", "--count", "100",
                      "--format", "table"]))
+    configs.append(("all euclidean:3 --count 200 --format csv",
+                    ["all", "--norm", "euclidean:3", "--count", "200",
+                     "--format", "csv"]))
     return configs
 
 

@@ -103,11 +103,11 @@ def _parse_annulus(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-# RunConfig field -> converter from flag or config-file text.  The config
-# keys are these fields plus `dim`, a cross-check against the norm.
+# Config key -> converter from flag or config-file text: the RunConfig
+# fields, plus `dim`, a cross-check against the norm.
 _CONVERTERS = {**{f.name: str for f in fields(RunConfig)},
                "annulus": _parse_annulus, "count": int, "seed": int,
-               "threads": int, "out": lambda text: text or None}
+               "threads": int, "out": lambda text: text or None, "dim": int}
 
 
 def _convert(key: str, text: str):
@@ -160,7 +160,6 @@ def parse_config(text: str) -> RunConfig:
     command-line flags, so parse(serialize(config)) round-trips.
     """
     values: dict = {}
-    dim_override = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -176,16 +175,14 @@ def parse_config(text: str) -> RunConfig:
         for pair in pairs:
             key, _, val = pair.partition("=")
             key, val = key.strip(), val.strip()
-            if key == "dim":
-                dim_override = int(val)
-            elif key in _CONVERTERS:
-                try:
-                    values[key] = _convert(key, val)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-            else:
+            if key not in _CONVERTERS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-    return _validate(RunConfig(**values), dim_override)
+            try:
+                values[key] = _convert(key, val)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    dim = values.pop("dim", None)
+    return _validate(RunConfig(**values), dim)
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -275,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE",
                         help="key = value config file; flags override it")
     parser.add_argument("--norm", help="riemannian:[[...]] | euclidean:N | quartic")
-    parser.add_argument("--dim", type=int,
-                        help="dimension cross-check against the norm")
+    parser.add_argument("--dim", help="dimension cross-check against the norm")
     parser.add_argument("--seed", help="sample-plan seed")
     parser.add_argument("--count", help="sample-plan point count")
     parser.add_argument("--annulus", metavar="H_MIN,H_MAX",
@@ -313,7 +309,8 @@ def main(argv=None) -> int:
         flags = vars(args)
         overrides = {key: _convert(key, flags[key]) for key in _CONVERTERS
                      if flags[key] is not None}
-        config = _validate(replace(config, **overrides), args.dim)
+        dim = overrides.pop("dim", None)
+        config = _validate(replace(config, **overrides), dim)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

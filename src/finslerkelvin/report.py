@@ -25,6 +25,10 @@ Serialization is deterministic: keys are sorted, floats use Python's
 shortest round-trip repr, and no timestamps or environment data are
 embedded, so identical runs produce byte-identical artifacts.
 
+JSON and CSV rows share one writer, `_write`: it encodes each distinct float
+bit pattern of a render once and gathers the rows as bytes from one word
+table, holding besides the text a few bytes per cell and distinct float.
+
 Rows are stored as columns (`ResidualRows`), and the aggregates come from
 the columns of the unflagged rows; their maximum propagates NaN, so a NaN
 residual fails every `max_rel_residual() <= tolerance` gate.
@@ -59,9 +63,8 @@ __all__ = [
 
 class ResidualRows:
     """Per-point residuals as columns: `points` (n, d), four float columns
-    and a bool `flags` column (all False when omitted).  The renderers read
-    each column's cells through ``tolist()``, so every cell they write is a
-    Python float or bool, never a numpy scalar."""
+    and a bool `flags` column (all False when omitted), which the renderers
+    read whole."""
 
     def __init__(self, points, lhs, rhs, abs_residual, rel_residual, flags=None):
         self.points = np.asarray(points, dtype=float)
@@ -165,32 +168,73 @@ _dumps = functools.partial(json.dumps, sort_keys=True, indent=2,
 # stands in for rows while json.dumps runs, which writes it as "\u0000rows";
 # no report string holds a NUL
 _HELD = "\x00rows"
+_CHUNK = 4096  # distinct floats per encoder call, and words per row gather
 
 
-def _json_rows(rows: ResidualRows, indent: str) -> str:
-    """The text `_dumps` writes for the rows as a list of row objects, when
-    the list opens on a line indented by `indent`.  The row template is
-    `_dumps` of one row, and each column's cells are `json.dumps` of its
-    `tolist()`: float.__repr__, or NaN, Infinity, -Infinity, true, false."""
+def _write(segments, encode) -> str:
+    """The text of `segments`: each a str or a row block `(pieces, columns)`,
+    a row being pieces[0], then each float64 column's cell followed by the
+    next piece.  A cell is written as `encode` writes it in a list (`str`:
+    repr; `json.dumps`: also NaN, Infinity).  A piece is an ASCII str without
+    NUL, or a `(bools, (no, yes))` pair that picks one of the two per row."""
+    blocks = [s for s in segments if isinstance(s, tuple)]
+    words = dict.fromkeys(w for pieces, _ in blocks for p in pieces
+                          for w in (p[1] if isinstance(p, tuple) else [p]))
+    bits = np.concatenate([[]] + [c for _, cols in blocks for c in cols])
+    order = np.argsort(bits.view(np.uint64))
+    bits = bits.view(np.uint64)[order]
+    first = np.ones(len(bits), dtype=bool)  # opens a run of equal bits
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    inverse = np.empty(len(bits), dtype=np.int32)
+    inverse[order] = np.cumsum(first, dtype=np.int32) + (len(words) - 1)
+    distinct = bits[first].view(np.float64)  # 0.0 and -0.0 apart, NaNs too
+    del bits, order, first
+    # every word, the pieces first, NUL-padded to the longest
+    table = np.concatenate([np.array(list(words), "S")] + [
+        np.array(encode(distinct[k:k + _CHUNK].tolist())[1:-1].split(", "), "S")
+        for k in range(0, len(distinct), _CHUNK)])
+    words = {w: np.int32(i) for i, w in enumerate(words)}
+    out, offset, ids = [], 0, []
+    for segment in segments:
+        if isinstance(segment, str):
+            out.append(segment)
+            continue
+        pieces, cols = segment
+        n = len(cols[0])
+        ids = [np.where(p[0], words[p[1][1]], words[p[1][0]]) if isinstance(p, tuple)
+               else np.broadcast_to(words[p], n) for p in pieces]
+        for j in range(len(cols)):  # a cell column before each piece but the first
+            ids.insert(2 * j + 1, inverse[offset:offset + n])
+            offset += n
+        rows = max(1, _CHUNK // len(ids))
+        for a in range(0, n, rows):
+            text = table[np.stack([i[a:a + rows] for i in ids], axis=1)].view(np.uint8)
+            out.append(str(text[text != 0], "ascii"))  # without the padding
+    del distinct, table, inverse, ids  # only the text outlives the gather
+    return "".join(out)
+
+
+def _json_rows(rows: ResidualRows, indent: str) -> list:
+    """`_write` segments for what `_dumps` writes for the rows as a list of
+    row objects, when the list opens on a line indented by `indent`: the
+    pieces are `_dumps` of one row around held cells, in sorted key order."""
     if not len(rows):
-        return "[]"
+        return ["[]"]
     one = dict.fromkeys(("abs_residual", "flag", "lhs", "rel_residual", "rhs"),
                         _HELD)
     one["point"] = [_HELD] * rows.points.shape[1]
-    row = _dumps([one])[2:-2].replace(json.dumps(_HELD), "%s")
-    row = row.replace("\n", "\n" + indent)
-    columns = (rows.abs_residual, rows.flags, rows.lhs, *rows.points.T,
-               rows.rel_residual, rows.rhs)  # in the template's (sorted) order
-    cells = (json.dumps(c.tolist())[1:-1].split(", ") for c in columns)
-    body = f",\n{indent}".join(map(row.__mod__, zip(*cells)))
-    return f"[\n{indent}{body}\n{indent}]"
+    p = _dumps([one])[2:-2].replace("\n", "\n" + indent).split(json.dumps(_HELD))
+    pieces = [(np.arange(len(rows)) > 0, (p[0], f",\n{indent}{p[0]}")),
+              (rows.flags, (f"{p[1]}false{p[2]}", f"{p[1]}true{p[2]}")), *p[3:]]
+    columns = (rows.abs_residual, rows.lhs, *rows.points.T, rows.rel_residual, rows.rhs)
+    return [f"[\n{indent}", (pieces, columns), f"\n{indent}]"]
 
 
 def render_json(document: dict) -> str:
     """Canonical JSON: sorted keys, fixed separators, trailing newline.
 
     `json.dumps` writes the document with each `ResidualRows` held by a
-    placeholder, and the `_json_rows` text then takes each one's place.
+    placeholder, and `_write` puts the `_json_rows` in each one's place.
     """
     held = []
 
@@ -203,11 +247,12 @@ def render_json(document: dict) -> str:
     parts = _dumps(document, default=hold).split(json.dumps(_HELD))
     if len(parts) != len(held) + 1:
         raise ValueError(f"the document holds the string {_HELD!r}")
-    out = parts[:1]
+    segments = parts[:1]
     for rows, part in zip(held, parts[1:]):
-        line = out[-1].rsplit("\n", 1)[-1]
-        out += [_json_rows(rows, line[:len(line) - len(line.lstrip(" "))]), part]
-    return "".join(out) + "\n"
+        line = segments[-1].rsplit("\n", 1)[-1]
+        segments += [*_json_rows(rows, line[:len(line) - len(line.lstrip(" "))]),
+                     part]
+    return _write(segments + ["\n"], json.dumps)
 
 
 CSV_HEADER_TAIL = ["lhs", "rhs", "abs_residual", "rel_residual", "flag"]
@@ -219,17 +264,17 @@ def render_csv(reports: list[ResidualReport], dim: int) -> str:
     The point columns are as many as the widest point, at least `dim`;
     shorter points (the planar counterexample scan inside a
     higher-dimensional `all` run) are padded with empty cells.  Float cells
-    are their repr (`str.format` of a float).
+    are their repr (`str` of a list of floats).
     """
     width = max([dim] + [r.rows.points.shape[1] for r in reports if len(r.rows)])
     out = [",".join([f"x{i}" for i in range(width)] + CSV_HEADER_TAIL) + "\n"]
     for rows in (r.rows for r in reports if len(r.rows)):
         d = rows.points.shape[1]
-        template = ",".join(["{}"] * d + [""] * (width - d) + ["{}"] * 5) + "\n"
-        columns = (*rows.points.T, rows.lhs, rows.rhs, rows.abs_residual,
-                   rows.rel_residual, rows.flags.astype(int))
-        out.extend(map(template.format, *(c.tolist() for c in columns)))
-    return "".join(out)
+        pieces = ",".join(["{}"] * d + [""] * (width - d) + ["{}"] * 4).split("{}")
+        pieces[-1] = (rows.flags, (",0\n", ",1\n"))
+        out.append((pieces, (*rows.points.T, rows.lhs, rows.rhs,
+                             rows.abs_residual, rows.rel_residual)))
+    return _write(out, str)
 
 
 def render_table(reports: list[ResidualReport]) -> str:

@@ -25,6 +25,7 @@ and every identity above becomes a computable residual with no unknowns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +169,17 @@ class SamplePlan:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
+    @functools.lru_cache(maxsize=4)
     def points(self, spec: NormSpec) -> np.ndarray:
+        """The points, read-only: a memo keyed by (plan, norm) serves repeats."""
         lo, hi = self.annulus
         u = halton(self.count, spec.dim + 1, skip=1 + self.seed * self.count)
         radii = lo + (hi - lo) * u[:, 0]
         dirs = 2.0 * u[:, 1:] - 1.0
         h = np.asarray(spec.value(dirs))
-        return dirs * (radii / h)[:, None]
+        pts = dirs * (radii / h)[:, None]
+        pts.flags.writeable = False
+        return pts
 
 
 def random_spd_matrix(dim: int, seed: int | None = None) -> SpdMatrix:

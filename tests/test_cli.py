@@ -152,9 +152,10 @@ def test_bad_config_exit_code():
 
 
 def test_bad_flag_value_names_its_key(capsys):
-    assert main(["identities", "--count", "abc"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "error: count: invalid literal for int() with base 10: 'abc'\n")
+    for key in ("count", "dim"):
+        assert main(["identities", f"--{key}", "abc"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {key}: invalid literal for int() with base 10: 'abc'\n")
 
 
 def test_bad_config_value_names_its_line_and_key(tmp_path, capsys):
@@ -163,6 +164,13 @@ def test_bad_config_value_names_its_line_and_key(tmp_path, capsys):
     assert main(["--config", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "error: line 1: count: invalid literal for int() with base 10: 'abc'\n")
+    # `dim` is a cross-check, not a RunConfig field, and is named the same way
+    path.write_text("norm = euclidean:3\ndim = abc\n")
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: line 2: dim: invalid literal for int() with base 10: 'abc'\n")
+    path.write_text("norm = euclidean:3\ndim = 3\n")
+    assert parse_config(path.read_text()).norm == "euclidean:3"
 
 
 def test_unevaluable_configuration_exits_2_without_traceback(package_env):

@@ -171,7 +171,7 @@ def test_table_contains_status():
 
 
 # ---------------------------------------------------------------------------
-# the row template against the encoder
+# the row writer against the encoder
 
 
 def reference_rows(rows):
@@ -206,13 +206,19 @@ def reference_render_csv(reports, dim):
     return buf.getvalue()
 
 
-SPECIAL_CELLS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 1.0]
+# A renderer that writes each distinct float once must not merge these:
+# 0.0 and -0.0, NaNs of either sign and another payload, and both sides of
+# repr's switches to exponent form (1e16 and 1e-4).
+SPECIAL_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16,
+                 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5, 1.0,
+                 -np.nan, np.uint64(0x7FF8000000000001).view(np.float64)]
 
 
 def special_reports():
-    """Every special cell in every column, flagged rows, a 1-D report and a
-    report with no rows."""
+    """Every special cell in every column, flagged rows, a 1-D report, a
+    report with no rows, and the same columns again in a second suite."""
     cells = np.array(SPECIAL_CELLS)
+    assert len({c.tobytes() for c in cells}) == len(cells)
     shifted = [np.roll(cells, k) for k in range(1, 6)]
     odd = ResidualReport(suite="odd", tolerance=1e-8, rows=ResidualRows(
         np.stack([cells, shifted[0], shifted[1]], axis=1), *shifted[1:],
@@ -221,7 +227,8 @@ def special_reports():
         line = ResidualReport(suite="line", tolerance=1.0, rows=residual_rows(
             cells[:, None], cells, shifted[0]))
     skip = cli._skip_report("nlaplace", "needs dimension >= 3")
-    return [sample_report(), odd, line, skip]
+    again = ResidualReport(suite="again", tolerance=1.0, rows=odd.rows)
+    return [sample_report(), odd, line, skip, again]
 
 
 def test_template_matches_the_encoder_on_special_cells():
@@ -233,6 +240,10 @@ def test_template_matches_the_encoder_on_special_cells():
     assert "NaN" in text and "-Infinity" in text and '"rows": []' in text
     assert render_csv(reports, 3) == reference_render_csv(reports, 3)
     assert render_csv(reports, 1) == reference_render_csv(reports, 1)
+    # no row block at all: the header alone, and a document without rows
+    assert render_csv(reports[3:4], 3) == reference_render_csv(reports[3:4], 3)
+    doc = dict(doc, suites=[reports[3].to_dict()])
+    assert render_json(doc) == reference_render_json(doc)
 
 
 def test_template_matches_the_encoder_on_an_all_run(tmp_path, monkeypatch):

@@ -47,8 +47,22 @@ from conftest import fd_divergence, row_tuples
 def test_plan_is_bit_deterministic():
     spec = RiemannianNorm(random_spd_matrix(3, seed=0))
     a = SamplePlan(count=64, seed=5).points(spec)
+    SamplePlan.points.cache_clear()  # sample again rather than recall
     b = SamplePlan(count=64, seed=5).points(spec)
-    assert a.tobytes() == b.tobytes()
+    assert a is not b and a.tobytes() == b.tobytes()
+
+
+def test_plan_points_are_sampled_once_and_read_only():
+    spec = RiemannianNorm(random_spd_matrix(3, seed=0))
+    a = SamplePlan(count=64, seed=5).points(spec)
+    # an equal plan and an equal norm built anew recall the same array
+    b = SamplePlan(count=64, seed=5).points(
+        RiemannianNorm(random_spd_matrix(3, seed=0)))
+    assert b is a and b.tobytes() == a.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 1.0
+    assert SamplePlan(count=64, seed=6).points(spec) is not a
+    assert SamplePlan(count=64, seed=5).points(EuclideanNorm(3)) is not a
 
 
 def test_plan_seeds_are_disjoint():
