@@ -53,7 +53,7 @@ from .operators import (
     finsler_n_laplacian,
     numeric_jet,
 )
-from .report import ResidualReport, ResidualRows
+from .report import Gate, ResidualReport, ResidualRows
 from .verify import (
     ManufacturedProblem,
     SamplePlan,

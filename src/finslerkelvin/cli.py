@@ -194,8 +194,21 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _skip_report(suite: str, reason: str) -> ResidualReport:
-    return ResidualReport(suite=suite, tolerance=0.0,
-                          details={"skipped": reason}, passed=True)
+    return ResidualReport(suite=suite, tolerance=0.0, details={"skipped": reason})
+
+
+def _status_line(rep: ResidualReport) -> str:
+    """A suite's `[PASS]`/`[FAIL]`/`[SKIP]` line: a floor gate at the tolerance
+    (the scan's spread) or else the worst residual, then each failing gate."""
+    if "skipped" in rep.details:
+        return f"[SKIP] {rep.suite}: {rep.details['skipped']}"
+    floor = [g for g in rep.gates if g.sense == ">=" and g.bound == rep.tolerance]
+    line = f"{rep.suite}: " + (
+        f"{floor[0].name} {floor[0].value:.3e} (floor {rep.tolerance:g})" if floor else
+        f"worst residual {rep.max_rel_residual():.3e} (tolerance {rep.tolerance:.0e})")
+    fails = [f"{g.name} {g.value:.3e} {'<' if g.sense == '>=' else '>'} {g.bound:g}"
+             for g in rep.gates if not g.ok]
+    return f"[FAIL] {line} - failed: {', '.join(fails)}" if fails else f"[PASS] {line}"
 
 
 def run(config: RunConfig) -> int:
@@ -221,19 +234,7 @@ def run(config: RunConfig) -> int:
     # stdout carries the report itself when there is no --out
     status_out = sys.stdout if config.out is not None else sys.stderr
     for rep in reports:
-        if "skipped" in rep.details:
-            print(f"[SKIP] {rep.suite}: {rep.details['skipped']}", file=status_out)
-            continue
-        status = "PASS" if rep.passed else "FAIL"
-        if "spread" in rep.details:
-            line = (f"[{status}] {rep.suite}: spread {rep.details['spread']:.3e} "
-                    f"(floor {rep.tolerance:g})")
-        else:
-            line = (f"[{status}] {rep.suite}: worst residual "
-                    f"{rep.max_rel_residual():.3e} (tolerance {rep.tolerance:.0e})")
-        if "message" in rep.details:
-            line += f" - {rep.details['message']}"
-        print(line, file=status_out)
+        print(_status_line(rep), file=status_out)
 
     passed = all(r.passed for r in reports)
     if config.format == "json":

@@ -30,8 +30,9 @@ bit pattern of a render once and gathers the rows as bytes from one word
 table, holding besides the text a few bytes per cell and distinct float.
 
 Rows are stored as columns (`ResidualRows`), and the aggregates come from
-the columns of the unflagged rows; their maximum propagates NaN, so a NaN
-residual fails every `max_rel_residual() <= tolerance` gate.
+the columns of the unflagged rows; their maximum propagates NaN.  A verdict
+is the conjunction of named `Gate`s, each a value tested against a bound by
+one comparison, which a NaN value fails in either sense.
 
 Relative residuals divide by max(|lhs|, |rhs|, 1): identities with O(1)
 sides get a true relative error, while identically-zero cases degrade to
@@ -51,6 +52,7 @@ REPORT_SCHEMA = "report-v1"
 
 __all__ = [
     "REPORT_SCHEMA",
+    "Gate",
     "ResidualRows",
     "ResidualReport",
     "residuals",
@@ -102,13 +104,34 @@ def residual_rows(points, lhs, rhs, flags=None) -> ResidualRows:
                         flags)
 
 
+@dataclass(frozen=True)
+class Gate:
+    """One pass condition: `value <= bound` or, with sense ">=", `value >= bound`."""
+
+    name: str
+    value: float
+    bound: float
+    sense: str = "<="
+
+    def __post_init__(self):
+        if self.sense not in ("<=", ">="):
+            raise ValueError(f"gate {self.name}: sense {self.sense!r} is not <= or >=")
+
+    @property
+    def ok(self) -> bool:
+        # one comparison, which a NaN value fails in either sense
+        return bool(self.value >= self.bound if self.sense == ">=" else
+                    self.value <= self.bound)
+
+
 @dataclass
 class ResidualReport:
     """Per-point residuals plus aggregates for one verification suite.
 
     Aggregates are always recomputed from the row columns (flagged rows
-    excluded), never stored, so the invariant "aggregates match the rows"
-    holds by construction.
+    excluded), and the verdict from the gates, never stored, so "aggregates
+    match the rows" and "the report passes iff every gate holds" hold by
+    construction.  A report without gates (a skipped suite) passes.
     """
 
     suite: str
@@ -117,7 +140,11 @@ class ResidualReport:
         default_factory=lambda: residual_rows(np.empty((0, 0)), (), ()))
     details: dict = field(default_factory=dict)
     convergence: dict | None = None
-    passed: bool = False
+    gates: list[Gate] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(g.ok for g in self.gates)
 
     def _active(self) -> np.ndarray:
         return self.rows.rel_residual[~self.rows.flags]

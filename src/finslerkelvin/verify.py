@@ -26,7 +26,7 @@ and every identity above becomes a computable residual with no unknowns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from .operators import (
     finsler_n_laplacian,
     numeric_jet,
 )
-from .report import ResidualReport, ResidualRows, residual_rows, residuals
+from .report import Gate, ResidualReport, ResidualRows, residual_rows, residuals
 from .sampling import cube_directions, halton
 
 __all__ = [
@@ -294,6 +294,11 @@ def _require_quadratic_form(spec: NormSpec, what: str) -> None:
                          f"euclidean) norm, got {spec.canonical()}")
 
 
+def _tagged(gates, tag: str) -> list[Gate]:
+    """A sub-check's gates as its suite reports them: `name[tag]`."""
+    return [replace(g, name=f"{g.name}[{tag}]") for g in gates]
+
+
 def _fit_order(steps, residuals) -> float:
     logs = np.log(np.asarray(steps, dtype=float))
     logr = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
@@ -345,14 +350,13 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
                             rows=rows,
                             details={"family": prob.family,
                                      "jet_mode": jet_mode})
+    report.gates.append(Gate("max_rel", report.max_rel_residual(), TOL_SEMILINEAR))
     if convergence:
         sel = np.argsort(-row_dot(pts, pts))[:5]
         report.convergence = _convergence_study(uhat, lhs_of, rhs_vals[sel],
                                                 pts[sel])
-    report.passed = report.max_rel_residual() <= TOL_SEMILINEAR and (
-        report.convergence is None
-        or report.convergence["order"] >= MIN_FD_ORDER
-    )
+        report.gates.append(Gate("fd_order", report.convergence["order"],
+                                 MIN_FD_ORDER, ">="))
     return report
 
 
@@ -383,7 +387,7 @@ def check_theorem_nlaplace(ctx: KelvinContext, u: ScalarField, g: ScalarField,
                          flags=np.hstack([fl for _, fl in results]))
     report = ResidualReport(suite="theorem-nlaplace", tolerance=tolerance,
                             rows=rows, details={"jet_mode": jet_mode})
-    report.passed = report.max_rel_residual() <= tolerance
+    report.gates.append(Gate("max_rel", report.max_rel_residual(), tolerance))
     return report
 
 
@@ -397,7 +401,8 @@ def check_fundamental_solution(spec: NormSpec, plan: SamplePlan) -> ResidualRepo
     rows = residual_rows(pts, lhs, np.zeros(len(pts)))
     report = ResidualReport(suite="fundamental-solution",
                             tolerance=TOL_FUNDAMENTAL, rows=rows)
-    report.passed = report.max_rel_residual() <= TOL_FUNDAMENTAL
+    report.gates.append(Gate("fundamental_solution", report.max_rel_residual(),
+                             TOL_FUNDAMENTAL))
     return report
 
 
@@ -436,19 +441,17 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     abs_b = np.abs(left_k - right_k)
     rel_b = abs_b / np.maximum(np.maximum(np.max(np.abs(left), axis=1),
                                           np.max(np.abs(right), axis=1)), 1.0)
-    worst_a, worst_b = float(np.max(rel_a)), float(np.max(rel_b))
+    gates = [Gate("norm_transport", float(np.max(rel_a)), TOL_PROOF_IDENTITY),
+             Gate("gradient_transport", float(np.max(rel_b)), TOL_PROOF_IDENTITY)]
 
     # each row shows the identity with the larger residual, (b) on a tie,
     # and a NaN residual before any number
     pick_b = (rel_b >= rel_a) | np.isnan(rel_b)
     rows = ResidualRows(pts, *(np.where(pick_b, b, a) for b, a in (
         (left_k, lhs_a), (right_k, rhs_a), (abs_b, abs_a), (rel_b, rel_a))))
-    report = ResidualReport(
-        suite="proof-identities", tolerance=TOL_PROOF_IDENTITY, rows=rows,
-        details={"norm_transport": worst_a, "gradient_transport": worst_b},
-    )
-    report.passed = np.max([worst_a, worst_b]) <= TOL_PROOF_IDENTITY
-    return report
+    return ResidualReport(suite="proof-identities", tolerance=TOL_PROOF_IDENTITY,
+                          rows=rows, details={g.name: g.value for g in gates},
+                          gates=gates)
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +510,10 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     worst = {name: float(np.max(rel[:, [nm == name for nm in names]]))
              for name in sorted(set(names))}
     best = np.argmax(rel, axis=1)
-    report = ResidualReport(suite="identities", tolerance=tol,
-                            rows=residual_rows(pts, lhs[idx, best],
-                                               rhs[idx, best]),
-                            details={**worst, "equivalence_constants": [c1, c2]})
-    report.passed = np.max(rel) <= tol
-    return report
+    return ResidualReport(suite="identities", tolerance=tol,
+                          rows=residual_rows(pts, lhs[idx, best], rhs[idx, best]),
+                          details={**worst, "equivalence_constants": [c1, c2]},
+                          gates=[Gate(name, worst[name], tol) for name in worst])
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +525,6 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     tol = _path_tolerance(spec)
     ctx = KelvinContext(spec)
     pts = plan.points(spec)
-    details: dict[str, float] = {}
-    gates: list[bool] = []
 
     fwd = kelvin_inverse(ctx, kelvin_map(ctx, pts))
     bwd = kelvin_map(ctx, kelvin_inverse(ctx, pts))
@@ -535,12 +534,10 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     err = np.maximum(e_fwd, e_bwd)
     zeros = np.zeros(len(pts))
     rows = ResidualRows(pts, zeros, zeros, err, err)
-    details["roundtrip"] = float(np.max(err))
-    gates.append(details["roundtrip"] <= tol)
+    gates = [Gate("roundtrip", float(np.max(err)), tol)]
 
     refl = float(np.max(np.abs(np.abs(reflection_determinant(pts)) - 1.0)))
-    details["reflection_determinant"] = refl
-    gates.append(refl <= TOL_REFLECTION_DET)
+    gates.append(Gate("reflection_determinant", refl, TOL_REFLECTION_DET))
 
     # pullback involution: transforming twice with the dual context
     # restores the original field values
@@ -550,36 +547,25 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     double = hat_transform(dual_ctx, hat_transform(ctx, probe))
     e_inv = np.max(np.abs(np.asarray(double(pts)) - np.asarray(probe(pts)))
                    / np.maximum(np.abs(np.asarray(probe(pts))), 1.0))
-    details["pullback_involution"] = float(e_inv)
-    gates.append(e_inv <= tol)
+    gates.append(Gate("pullback_involution", float(e_inv), tol))
 
     if spec.matrix is not None:
         detm = spec.matrix.det
         inv = det_invariant(ctx, pts)
-        details["det_invariant"] = float(np.max(np.abs(inv - detm) / detm))
-        gates.append(details["det_invariant"] <= TOL_LEMMA_DET)
+        gates.append(Gate("det_invariant", float(np.max(np.abs(inv - detm) / detm)),
+                          TOL_LEMMA_DET))
 
         d1 = jacobian_matrix(ctx, pts[:20])
         d2 = jacobian_matrix(ctx, 2.0 * pts[:20])
         jac_scale = float(np.max(np.max(np.abs(d2 - d1 / 4.0), axis=(1, 2))
                                  / np.max(np.abs(d1), axis=(1, 2))))
-        details["jacobian_scaling"] = jac_scale
-        gates.append(jac_scale <= tol)
-
-        proof = check_proof_identities(spec, plan)
-        details["norm_transport"] = proof.details["norm_transport"]
-        details["gradient_transport"] = proof.details["gradient_transport"]
-        gates.append(proof.passed)
-
+        gates.append(Gate("jacobian_scaling", jac_scale, tol))
+        gates += check_proof_identities(spec, plan).gates
         if ctx.dim >= 3:
-            fund = check_fundamental_solution(spec, plan)
-            details["fundamental_solution"] = fund.max_rel_residual()
-            gates.append(fund.passed)
+            gates += check_fundamental_solution(spec, plan).gates
 
-    report = ResidualReport(suite="kelvin", tolerance=tol, rows=rows,
-                            details=details)
-    report.passed = all(gates)
-    return report
+    return ResidualReport(suite="kelvin", tolerance=tol, rows=rows,
+                          details={g.name: g.value for g in gates}, gates=gates)
 
 
 # ---------------------------------------------------------------------------
@@ -605,31 +591,23 @@ def run_counterexample_scan(spec: NormSpec | None = None) -> ResidualReport:
         dirs /= np.sqrt(np.sum(dirs * dirs, axis=-1))[:, None]
     vals = det_invariant(ctx, dirs)
     spread = float((vals.max() - vals.min()) / vals.min())
-    scale_defect = np.max(np.abs(det_invariant(ctx, 2.0 * dirs) - vals) / vals)
+    scale_defect = float(np.max(np.abs(det_invariant(ctx, 2.0 * dirs) - vals) / vals))
     mean = float(vals.mean())
     rows = residual_rows(dirs, vals, np.full(_SCAN_DIRECTIONS, mean))
-    details = {
-        "invariant_min": float(vals.min()),
-        "invariant_max": float(vals.max()),
-        "spread": spread,
-        "spread_floor": QUARTIC_SPREAD_MIN,
-        "scale_invariance_defect": float(scale_defect),
-    }
-    gates = [spread >= QUARTIC_SPREAD_MIN,
-             scale_defect <= TOL_SCALE_INVARIANCE]
+    details = {"invariant_min": float(vals.min()), "invariant_max": float(vals.max()),
+               "spread_floor": QUARTIC_SPREAD_MIN}
+    gates = [Gate("spread", spread, QUARTIC_SPREAD_MIN, ">="),
+             Gate("scale_invariance_defect", scale_defect, TOL_SCALE_INVARIANCE)]
     if isinstance(spec, QuarticNorm):
         control = RiemannianNorm(SpdMatrix(np.array(_CONTROL_ENTRIES)))
         cvals = det_invariant(KelvinContext(control), dirs)
         cspread = float((cvals.max() - cvals.min()) / cvals.min())
-        details["control_spread"] = cspread
-        gates.append(cspread <= TOL_SPREAD_CONTROL)
+        gates.append(Gate("control_spread", cspread, TOL_SPREAD_CONTROL))
     elif spread < QUARTIC_SPREAD_MIN:
         details["message"] = "spread below threshold: norm is Riemannian"
-    report = ResidualReport(suite="counterexample",
-                            tolerance=QUARTIC_SPREAD_MIN, rows=rows,
-                            details=details)
-    report.passed = all(gates)
-    return report
+    return ResidualReport(suite="counterexample", tolerance=QUARTIC_SPREAD_MIN,
+                          rows=rows, gates=gates,
+                          details={**details, **{g.name: g.value for g in gates}})
 
 
 # ---------------------------------------------------------------------------
@@ -705,23 +683,20 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     cross-check, and the transformed-source round trip."""
     ctx = KelvinContext(spec)
     blocks = []
-    details: dict = {}
-    gates = []
+    gates: list[Gate] = []
     convergence = None
     for family in ("quadratic", "gaussian-bump"):
         prob = manufacture_semilinear(spec, family)
         rep = check_theorem_semilinear(ctx, prob, plan,
                                        convergence=(family == "quadratic"))
         blocks.append(rep.rows)
-        details[f"max_rel[{family}]"] = rep.max_rel_residual()
-        gates.append(rep.passed)
+        gates += _tagged(rep.gates, family)
         if rep.convergence is not None:
             convergence = rep.convergence
 
     # `prob` is the gaussian-bump problem of the loop's last pass
-    quad = weak_form_crosscheck(ctx, prob)
-    details["weak_form_worst"] = quad["worst"]
-    gates.append(quad["worst"] <= TOL_QUADRATURE)
+    gates.append(Gate("weak_form_worst", weak_form_crosscheck(ctx, prob)["worst"],
+                      TOL_QUADRATURE))
 
     # transformed source pulled back through the dual map must restore f
     n = ctx.dim
@@ -731,14 +706,14 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     h, t = _inversion(ctx.spec, t_dual)
     back = np.asarray(prob.f(t)) / h ** (n + 2) / h_dual ** (n + 2)
     f_vals = np.asarray(prob.f(pts))
-    details["source_roundtrip"] = float(np.max(residuals(back, f_vals)[1]))
-    gates.append(details["source_roundtrip"] <= TOL_SEMILINEAR)
+    gates.append(Gate("source_roundtrip", float(np.max(residuals(back, f_vals)[1])),
+                      TOL_SEMILINEAR))
 
-    report = ResidualReport(suite="semilinear", tolerance=TOL_SEMILINEAR,
-                            rows=ResidualRows.concat(blocks), details=details,
-                            convergence=convergence)
-    report.passed = all(gates)
-    return report
+    # the fitted order is reported under "convergence", every other gate in details
+    details = {g.name: g.value for g in gates if not g.name.startswith("fd_order")}
+    return ResidualReport(suite="semilinear", tolerance=TOL_SEMILINEAR,
+                          rows=ResidualRows.concat(blocks), details=details,
+                          convergence=convergence, gates=gates)
 
 
 def run_nlaplace_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
@@ -746,24 +721,21 @@ def run_nlaplace_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     with both analytic and numeric jets."""
     ctx = KelvinContext(spec)
     details: dict = {}
-    gates = []
 
     u0, g0 = manufacture_nlaplace(spec, "affine")
     rep0 = check_theorem_nlaplace(ctx, u0, g0, plan, tolerance=TOL_SEMILINEAR)
     blocks = [rep0.rows]
-    details["max_rel[affine]"] = rep0.max_rel_residual()
-    gates.append(rep0.passed)
+    gates = _tagged(rep0.gates, "affine")
 
     u1, g1 = manufacture_nlaplace(spec, "quadratic")
     for mode in ("auto", "numeric"):
         rep = check_theorem_nlaplace(ctx, u1, g1, plan, jet_mode=mode)
-        details[f"max_rel[quadratic,{mode}]"] = rep.max_rel_residual()
         details[f"flagged[quadratic,{mode}]"] = rep.flagged_count()
-        gates.append(rep.passed)
+        gates += _tagged(rep.gates, f"quadratic,{mode}")
         if mode == "numeric":
             blocks.append(rep.rows)
 
-    report = ResidualReport(suite="nlaplace", tolerance=TOL_NLAPLACE,
-                            rows=ResidualRows.concat(blocks), details=details)
-    report.passed = all(gates)
-    return report
+    details.update((g.name, g.value) for g in gates)
+    return ResidualReport(suite="nlaplace", tolerance=TOL_NLAPLACE,
+                          rows=ResidualRows.concat(blocks), details=details,
+                          gates=gates)

@@ -119,3 +119,9 @@ def package_env():
     src = str(Path(finslerkelvin.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def failed_gates(status_line: str) -> list[str]:
+    """The gate names a status line lists after " - failed: ", in order."""
+    _, _, failed = status_line.rstrip("\n").partition(" - failed: ")
+    return [item.split(" ")[0] for item in failed.split(", ")] if failed else []

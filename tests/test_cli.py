@@ -1,6 +1,7 @@
 """Configuration parsing, exit codes, and report artifacts."""
 
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -124,10 +125,37 @@ def test_all_euclidean3_passes(tmp_path):
 
 
 def test_counterexample_on_riemannian_fails_by_design(tmp_path, capsys):
+    out = tmp_path / "r.json"
     code = main(["counterexample", "--norm", "riemannian:[[4,0],[0,1]]",
-                 "--out", str(tmp_path / "r.json")])
+                 "--out", str(out)])
     assert code == EXIT_VERIFICATION
-    assert "spread below threshold: norm is Riemannian" in capsys.readouterr().out
+    # the FAIL line names the spread gate with its value and floor
+    assert re.fullmatch(r"\[FAIL\] counterexample: spread (\S+) \(floor 0\.999\)"
+                        r" - failed: spread \1 < 0\.999\n", capsys.readouterr().out)
+    suite, = json.loads(out.read_text())["suites"]
+    assert suite["details"]["message"] == "spread below threshold: norm is Riemannian"
+
+
+PASS_LINE = re.compile(r"\[PASS\] (identities|kelvin|semilinear|nlaplace): worst "
+                       r"residual \d\.\d{3}e[+-]\d\d \(tolerance 1e-\d\d\)"
+                       r"|\[PASS\] counterexample: spread \d\.\d{3}e[+-]\d\d "
+                       r"\(floor 0\.999\)")
+SKIP_LINE = re.compile(r"\[SKIP\] (semilinear|nlaplace): theorem suites need a "
+                       r"quadratic-form norm")
+
+
+@pytest.mark.parametrize("norm,skipped", [("euclidean:3", 0), ("quartic", 2)])
+def test_pass_and_skip_lines_keep_their_format(norm, skipped, tmp_path, capsys):
+    # the format users and the benchmark harness parse
+    code = main(["all", "--norm", norm, "--count", "50",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[1:5] for line in lines] == (["PASS"] * (5 - skipped)
+                                             + ["SKIP"] * skipped)
+    assert [line[7:].split(":")[0] for line in lines] == list(cli._RUNNERS)
+    for line in lines:
+        assert (PASS_LINE if line.startswith("[PASS]") else SKIP_LINE).fullmatch(line)
 
 
 def test_quartic_all_skips_theorem_suites(tmp_path, capsys):

@@ -31,3 +31,12 @@ def test_package_imports_only_names_in_their_module_all():
         source = importlib.import_module(f"finslerkelvin.{module}")
         assert name in source.__all__, f"{module}.{name}"
         assert getattr(finslerkelvin, name) is getattr(source, name)
+
+
+def test_report_exports_the_gate_record():
+    from finslerkelvin import report
+
+    assert report.__all__ == ["REPORT_SCHEMA", "Gate", "ResidualRows",
+                              "ResidualReport", "residuals", "residual_rows",
+                              "render_json", "render_csv", "render_table"]
+    assert finslerkelvin.Gate is report.Gate

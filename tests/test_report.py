@@ -12,6 +12,7 @@ from finslerkelvin.fields import ScalarField
 from finslerkelvin.kelvin import KelvinContext
 from finslerkelvin.norms import EuclideanNorm
 from finslerkelvin.report import (
+    Gate,
     ResidualReport,
     ResidualRows,
     render_csv,
@@ -36,10 +37,9 @@ def sample_report():
         rhs=[1.0 + 1e-9, 2.0, 1e-12],
         flags=[False, False, True],
     )
-    rep = ResidualReport(suite="demo", tolerance=1e-8, rows=rows,
-                         details={"worst_identity": 1e-9})
-    rep.passed = True
-    return rep
+    return ResidualReport(suite="demo", tolerance=1e-8, rows=rows,
+                          details={"worst_identity": 1e-9},
+                          gates=[Gate("worst_identity", 1e-9, 1e-8)])
 
 
 def test_rows_relative_floor():
@@ -111,6 +111,27 @@ def test_a_nan_residual_propagates_to_the_aggregates():
     assert rep.max_rel_residual() == rep.mean_rel_residual() == 0.0
 
 
+def test_passed_is_read_only():
+    rep = sample_report()
+    assert rep.passed
+    with pytest.raises(AttributeError):
+        rep.passed = False
+    assert rep.passed
+
+
+def test_a_nan_value_fails_either_sense():
+    for sense in ("<=", ">="):
+        assert Gate("g", 1.0, 1.0, sense).ok
+        assert not Gate("g", math.nan, 1.0, sense).ok
+    assert not Gate("g", 2.0, 1.0).ok and Gate("g", 2.0, 1.0, ">=").ok
+    # the verdict is every gate's, and a report without gates passes
+    assert not ResidualReport(suite="x", tolerance=1.0, gates=[
+        Gate("a", 0.5, 1.0), Gate("b", math.nan, 1.0, ">=")]).passed
+    assert ResidualReport(suite="x", tolerance=1.0).passed
+    with pytest.raises(ValueError, match="sense"):
+        Gate("g", 1.0, 1.0, ">")
+
+
 def test_a_nan_row_fails_the_semilinear_theorem():
     spec = EuclideanNorm(3)
     prob = manufacture_semilinear(spec, "quadratic")
@@ -126,6 +147,7 @@ def test_a_nan_row_fails_the_semilinear_theorem():
     rep = check_theorem_semilinear(ctx, bad, SamplePlan(count=10))
     assert math.isnan(rep.rows.rel_residual[1])
     assert not rep.passed
+    assert [g.name for g in rep.gates if not g.ok] == ["max_rel"]
 
 
 def test_rows_are_columns_and_concatenate_in_order():

@@ -498,6 +498,7 @@ def test_a_nan_identity_fails_the_identity_suite():
     assert math.isnan(rep.rows.rel_residual[1])
     assert math.isnan(rep.max_rel_residual())
     assert not rep.passed
+    assert [g.name for g in rep.gates if not g.ok] == ["unit_duality"]
 
 
 def test_a_nan_gradient_transport_fails_the_proof_identities(monkeypatch):
@@ -518,10 +519,13 @@ def test_a_nan_gradient_transport_fails_the_proof_identities(monkeypatch):
     assert not math.isnan(rep.details["norm_transport"])
     assert math.isnan(rep.rows.rel_residual[1])
     assert not rep.passed
-    assert not run_kelvin_suite(spec, plan).passed
+    assert [g.name for g in rep.gates if not g.ok] == ["gradient_transport"]
+    kelvin = run_kelvin_suite(spec, plan)
+    assert not kelvin.passed
+    assert [g.name for g in kelvin.gates if not g.ok] == ["gradient_transport"]
 
 
-def test_a_nan_box_fails_the_weak_form_crosscheck():
+def test_a_nan_box_fails_the_weak_form_crosscheck(monkeypatch):
     spec = EuclideanNorm(3)
     prob = manufacture_semilinear(spec, "gaussian-bump")
     calls = []
@@ -536,3 +540,14 @@ def test_a_nan_box_fails_the_weak_form_crosscheck():
     assert not any(map(math.isnan, quad["box_errors"][:3]))
     assert math.isnan(quad["box_errors"][3])
     assert math.isnan(quad["worst"])
+    # the semilinear suite names the gate the NaN fails
+    crosscheck = verify.weak_form_crosscheck
+
+    def planted(ctx, _):
+        calls.clear()
+        return crosscheck(ctx, bad)
+
+    monkeypatch.setattr(verify, "weak_form_crosscheck", planted)
+    rep = run_semilinear_suite(spec, SamplePlan(count=10))
+    assert math.isnan(rep.details["weak_form_worst"])
+    assert [g.name for g in rep.gates if not g.ok] == ["weak_form_worst"]
