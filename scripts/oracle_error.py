@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Error of semilinear and affine nlaplace report rows against exact values.
+"""Error of semilinear, affine nlaplace and quartic-dual reports against exact values.
 
 For a quadratic-form norm H(y) = sqrt(<My, y>) both sides of every row of
 the ``semilinear`` suite equal E = f(T(y)) / H(y)^(N+2), with T(y) = My / H^2
@@ -27,11 +27,25 @@ transformed equation are 0, and |lhs| is the error of the analytic
 chain-rule jet and the operator.  For those rows the script prints the
 median, p99 and max of |lhs| in absolute units, plus the row behind the max.
 
+For a report whose config norm is ``quartic`` the rows are not read: the
+script rebuilds the report's sample plan and compares the package's numeric
+dual with a 40-digit Newton solve of the support-function KKT system of the
+exact H(xi) = (xi1^4 + 3 xi1^2 xi2^2 + xi2^4)^(1/4),
+
+    x = mu grad p(xi),   p(xi) = 1,   p = H^4,
+
+at every plan point x.  It prints the median, p99 and max, in eps, of the
+relative error of H°(x) = <xi, x>, grad H°(x) = xi, D^2 H°(x) (the xi-block
+of the inverse KKT matrix, by Gaussian elimination) and the bidual H°°(x)
+against the exact H(x), plus the row behind each max.  A vector or matrix
+error is max |computed - exact| over its entries divided by max |exact|.
+
 Usage (from the repository root; the package is imported from ``src/``):
 
     python3 scripts/oracle_error.py REPORT [REPORT ...] [--pool]
 
-A report may hold either suite or both (an ``all`` run).  ``--pool``
+A report may hold either suite or both (an ``all`` run), or be a run on
+the quartic norm.  ``--pool``
 prints one table per section over the rows of all files instead of one per
 file.
 """
@@ -47,7 +61,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from finslerkelvin.verify import _default_center  # noqa: E402
+from finslerkelvin.norms import QuarticNorm  # noqa: E402
+from finslerkelvin.verify import SamplePlan, _default_center  # noqa: E402
 
 DIGITS = 40
 EPS = float(np.finfo(float).eps)
@@ -55,6 +70,7 @@ FAMILIES = ("quadratic", "gaussian-bump")
 SIDES = ("lhs", "rhs")
 # width of the gaussian bump, as in manufacture_semilinear
 WIDTH = 1.2
+QUARTIC = ("H°", "grad H°", "D2H°", "bidual")
 
 
 def norm_matrix(norm: str) -> np.ndarray:
@@ -135,6 +151,102 @@ def affine_errors(path: str) -> tuple[list[float], list]:
             [(path, i, row) for i, row in enumerate(block)])
 
 
+def _solve(a: list, cols: list) -> list:
+    """x with a x = c for each column c, by Gaussian elimination with partial
+    pivoting; x[i][k] belongs to column k."""
+    n = len(a)
+    m = [row[:] + [c[i] for c in cols] for i, row in enumerate(a)]
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(m[i][k]))
+        m[k], m[piv] = m[piv], m[k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [u - f * v for u, v in zip(m[i], m[k])]
+    x = [[None] * len(cols) for _ in range(n)]
+    for i in reversed(range(n)):
+        for k in range(len(cols)):
+            rest = sum(m[i][j] * x[j][k] for j in range(i + 1, n))
+            x[i][k] = (m[i][n + k] - rest) / m[i][i]
+    return x
+
+
+def quartic_dual_exact(point) -> tuple:
+    """(H°(x), grad H°(x), D^2 H°(x), H(x)) of the quartic norm at 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = DIGITS
+        x = [Decimal(v) for v in point]
+
+        def p_jet(a, b):
+            a2, b2 = a * a, b * b
+            return (a2 * a2 + 3 * a2 * b2 + b2 * b2,
+                    [4 * a2 * a + 6 * a * b2, 6 * a2 * b + 4 * b2 * b],
+                    [[12 * a2 + 6 * b2, 12 * a * b], [12 * a * b, 6 * a2 + 12 * b2]])
+
+        h = p_jet(*x)[0].sqrt().sqrt()
+        xi = [v / h for v in x]
+        g = p_jet(*xi)[1]
+        mu = (x[0] * g[0] + x[1] * g[1]) / (g[0] * g[0] + g[1] * g[1])
+        tol = Decimal(10) ** (5 - DIGITS) * max(abs(v) for v in x)
+        for _ in range(100):
+            p, g, hp = p_jet(*xi)
+            kkt = [[mu * hp[0][0], mu * hp[0][1], g[0]],
+                   [mu * hp[1][0], mu * hp[1][1], g[1]], [g[0], g[1], 0]]
+            resid = [x[0] - mu * g[0], x[1] - mu * g[1], 1 - p]
+            if max(abs(r) for r in resid) <= tol:
+                break
+            step = [s[0] for s in _solve(kkt, [resid])]
+            xi = [xi[0] + step[0], xi[1] + step[1]]
+            mu += step[2]
+        else:
+            raise ValueError(f"40-digit KKT solve did not converge at {point}")
+        dxi = _solve(kkt, [[1, 0, 0], [0, 1, 0]])
+        return (xi[0] * x[0] + xi[1] * x[1], xi,
+                [[dxi[0][0], dxi[0][1]], [dxi[1][0], dxi[1][1]]], h)
+
+
+def quartic_errors_at(points: np.ndarray) -> dict[str, list[float]]:
+    """Relative error in eps of each quantity in ``QUARTIC``, per point."""
+    dual = QuarticNorm().dual()
+    jet = dual.jet(points)
+    bidual = dual.dual_value(points)
+    out = {name: [] for name in QUARTIC}
+    for k, point in enumerate(points.tolist()):
+        exact = quartic_dual_exact(point)
+        computed = (jet.value[k], jet.gradient[k], jet.hessian[k], bidual[k])
+        for name, got, want in zip(QUARTIC, computed, exact):
+            got = [Decimal(v) for v in np.ravel(got).tolist()]
+            want = list(np.ravel(np.array(want, dtype=object)))
+            err = max(abs(u - v) for u, v in zip(got, want))
+            out[name].append(float(err / max(abs(v) for v in want)) / EPS)
+    return out
+
+
+def quartic_errors(path: str) -> dict:
+    """Per quantity: errors in eps and, per plan point, (path, index, point)."""
+    report, _ = _load(path)
+    config = report["config"]
+    plan = SamplePlan(annulus=tuple(config["annulus"]), count=config["count"],
+                      seed=config["seed"])
+    points = plan.points(QuarticNorm())
+    where = [(path, i, point) for i, point in enumerate(points.tolist())]
+    return {name: (errs, where)
+            for name, errs in quartic_errors_at(points).items()}
+
+
+def quartic_table(title: str, errors: dict) -> list[str]:
+    lines = [title,
+             f"  {'quartic dual':<14}{'rows':>7}{'median':>10}{'p99':>10}"
+             f"{'max':>10}  (eps, against the 40-digit KKT solve)"]
+    worst = []
+    for name, (errs, where) in errors.items():
+        e = np.array(errs)
+        lines.append(f"  {name:<14}{len(e):>7}{np.median(e):>10.3f}"
+                     f"{np.percentile(e, 99):>10.2f}{e.max():>10.1f}")
+        path, index, point = where[int(np.argmax(e))]
+        worst.append(f"  max {name}: {path} row {index} point {point}")
+    return lines + worst
+
+
 def table(title: str, errors: dict) -> list[str]:
     lines = [title,
              f"  {'family':<14}{'side':<6}{'rows':>7}{'median':>10}{'p99':>10}"
@@ -165,7 +277,7 @@ def affine_table(title: str, errors: tuple[list[float], list]) -> list[str]:
 
 
 def _pool(sections: list) -> dict | tuple:
-    """One semilinear dict or one affine (values, where) over all files."""
+    """One semilinear or quartic dict, or one affine (values, where), over all files."""
     if isinstance(sections[0], dict):
         pooled = {}
         for errors in sections:
@@ -184,12 +296,16 @@ def main(argv=None) -> int:
     parser.add_argument("--pool", action="store_true",
                         help="one table per section over the rows of all reports")
     args = parser.parse_args(argv)
-    semilinear, affine = [], []
+    semilinear, affine, quartic = [], [], []
     try:
         for path in args.reports:
-            _, suites = _load(path)
+            report, suites = _load(path)
+            if report["config"]["norm"] == "quartic":
+                quartic.append((path, quartic_errors(path)))
+                continue
             if "semilinear" not in suites and "nlaplace" not in suites:
-                raise ValueError(f"{path}: no semilinear or nlaplace suite")
+                raise ValueError(f"{path}: no semilinear or nlaplace suite "
+                                 "and not a quartic-norm run")
             if "semilinear" in suites:
                 semilinear.append((path, row_errors(path)))
             if "nlaplace" in suites:
@@ -197,7 +313,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for sections, render in ((semilinear, table), (affine, affine_table)):
+    for sections, render in ((semilinear, table), (affine, affine_table),
+                             (quartic, quartic_table)):
         if args.pool and sections:
             sections = [(f"pooled over {len(sections)} reports",
                          _pool([errors for _, errors in sections]))]

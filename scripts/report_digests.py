@@ -5,6 +5,8 @@ A refactor that must not change any reported number runs this before and
 after the change and compares the two listings line by line.  Every
 configuration runs in-process through ``finslerkelvin.cli.main`` and writes
 its report with ``--out``; the status lines the CLI prints are discarded.
+A run that ends without a report (exit 2 or 3, with the CLI's ``error:``
+line on stderr) prints ``no report`` in place of the digest.
 
 The configurations are the three benchmark workloads at plan seed 100
 (``perfbench/run.py`` at workload seed 0), ``all --count 200`` on two
@@ -65,12 +67,15 @@ def configurations() -> list[tuple[str, list[str]]]:
     return configs
 
 
-def digest(argv: list[str]) -> tuple[str, int]:
-    """SHA-256 of the report bytes and the exit code of one CLI run."""
+def digest(argv: list[str]) -> tuple[str | None, int]:
+    """SHA-256 of the report bytes and the exit code of one CLI run; the
+    digest is None when the run wrote no report (exit 2 or 3)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report")
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv + ["--out", out])
+        if not os.path.exists(out):
+            return None, code
         with open(out, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest(), code
 
@@ -78,7 +83,7 @@ def digest(argv: list[str]) -> tuple[str, int]:
 def main() -> None:
     for name, argv in configurations():
         sha, code = digest(argv)
-        print(f"{sha}  {name} (exit {code})", flush=True)
+        print(f"{sha or 'no report'}  {name} (exit {code})", flush=True)
 
 
 if __name__ == "__main__":

@@ -17,15 +17,14 @@ Three families are built in:
   point and for a batch.
 * ``QuarticNorm``: H(x) = (x1^4 + 3 x1^2 x2^2 + x2^4)^(1/4) in the plane.
   Its unit ball is uniformly convex but not an ellipse, so its dual norm has
-  no closed form and is computed by Newton iteration on the support-function
-  stationarity system.
+  no closed form.
 
 The dual norm is H°(x) = sup{<xi, x> : H(xi) <= 1}.  For quadratic-form
 norms it equals sqrt(<M^-1 x, x>); for the quartic norm ``dual()``
-returns a ``NumericDualNorm`` wrapper whose value is the Newton maximum,
-whose gradient is the maximizer (envelope property), and whose Hessian
-comes from implicit differentiation of the optimality system.  The Newton
-solve runs over a whole batch of directions at once.
+returns a ``NumericDualNorm``: a batched Newton solve of the support-function
+optimality system gives the maximum H°, the maximizer grad H° (envelope
+property) and, by implicit differentiation, D^2 H°.  In the plane each
+Newton step and the Hessian are closed forms, with no linear solver.
 
 Derivative identities enforced throughout (and exercised by the test
 suite): the Euler relation <grad H(x), x> = H(x), zero-homogeneity of the
@@ -378,41 +377,34 @@ class QuarticNorm(NormSpec):
 
 
 class NumericDualNorm(NormSpec):
-    """Dual of a norm without a closed-form dual.
+    """Dual of a planar norm without a closed-form dual (other dims: ValueError).
 
-    Evaluation solves the support-function maximization over the primal unit
-    sphere; the gradient is the maximizer itself and the Hessian follows
-    from implicit differentiation of the optimality system, so the wrapper
-    satisfies the same jet contract as the closed-form norms.
+    Value and gradient (the maximizer xi) come from one Newton solve, as in
+    ``value_gradient``; the Hessian t (x) t / (H°(x) <D^2 H(xi) t, t>) inverts
+    the optimality system on the tangent t, at the solve's last primal jet.
     """
 
     def __init__(self, primal: NormSpec):
-        self.primal = primal
-        self.dim = primal.dim
+        if primal.dim != 2:
+            raise ValueError("numeric dual norm implemented for dim 2")
+        self.primal, self.dim = primal, 2
 
     def value(self, x):
         return _support_values(self.primal, x)
 
     def value_gradient(self, x):
-        pts = _as_points(x, self.dim)
-        lam, xi, _ = _support_points(self.primal, pts.reshape(-1, self.dim))
+        pts = _as_points(x, 2)
+        lam, xi, _, _ = _support_points(self.primal, pts.reshape(-1, 2))
         return _unbox(lam.reshape(pts.shape[:-1])), xi.reshape(pts.shape)
 
     def jet(self, x) -> Jet2:
-        pts = _as_points(x, self.dim)
+        pts = _as_points(x, 2)
         _check_not_origin(pts)
-        n = self.dim
-        flat = pts.reshape(-1, n)
-        scale = np.sqrt(row_dot(flat, flat))
-        lam, xi, _ = _support_points(self.primal, flat / scale[:, None])
-        pj = self.primal.jet(xi)
-        kkt = _kkt_matrices(lam, pj.gradient, pj.hessian)
-        rhs = np.broadcast_to(np.vstack([np.eye(n), np.zeros(n)]),
-                              (len(flat), n + 1, n))
-        hess = np.linalg.solve(kkt, rhs)[:, :n] / scale[:, None, None]
-        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        return _jet((lam * scale).reshape(pts.shape[:-1]), xi.reshape(pts.shape),
-                    hess.reshape(pts.shape + (n,)))
+        lam, xi, _, pj = _support_points(self.primal, pts.reshape(-1, 2))
+        t, _, curv = _tangent_curvature(pj.gradient, pj.hessian)
+        hess = row_outer(t, t) / (lam * curv)[:, None, None]
+        return _jet(lam.reshape(pts.shape[:-1]), xi.reshape(pts.shape),
+                    hess.reshape(pts.shape + (2,)))
 
     def dual(self) -> NormSpec:
         # Biduality: the dual of the dual is the primal norm again.
@@ -425,88 +417,95 @@ class NumericDualNorm(NormSpec):
         return f"dual({self.primal.canonical()})"
 
 
-def _kkt_matrices(lam, grad, hess) -> np.ndarray:
-    """Stacked (n, d+1, d+1) Jacobians of the stationarity system."""
-    n, d = grad.shape
-    kkt = np.zeros((n, d + 1, d + 1))
-    kkt[:, :d, :d] = lam[:, None, None] * hess
-    kkt[:, :d, d] = kkt[:, d, :d] = grad
-    return kkt
+def _tangent_curvature(grad, hess):
+    """(t, u, <u, t>) per row: t is grad turned a quarter turn, u = hess t;
+    -lam <u, t> is the determinant of K = [[lam hess, grad], [grad^T, 0]]."""
+    t = np.column_stack([-grad[:, 1], grad[:, 0]])
+    u = hess[:, :, 0] * t[:, :1] + hess[:, :, 1] * t[:, 1:]
+    return t, u, u[:, 0] * t[:, 0] + u[:, 1] * t[:, 1]
 
 
-def _kkt_residual(xh, lam, jet: Jet2):
+def _newton_step(lam, grad, hess, r):
+    """The Newton step K^-1 r per row, in xi and in lam, by Cramer's rule:
+    with w = u turned back, (t <t, r[:2]> / lam + w r[2]) / <u, t> and
+    (<w, r[:2]> - lam det(hess) r[2]) / <u, t>."""
+    t, u, curv = _tangent_curvature(grad, hess)
+    w = np.column_stack([u[:, 1], -u[:, 0]])
+    det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+    d_xi = (t * ((t[:, 0] * r[:, 0] + t[:, 1] * r[:, 1]) / lam)[:, None]
+            + w * r[:, 2:]) / curv[:, None]
+    return d_xi, (w[:, 0] * r[:, 0] + w[:, 1] * r[:, 1] - lam * det * r[:, 2]) / curv
+
+
+def _kkt_residual(xh, lam, value, grad):
     """Stationarity residuals and their max |.| per row (exact np.maximum)."""
-    r = np.column_stack([xh - lam[:, None] * jet.gradient, 1.0 - jet.value])
+    r = np.column_stack([xh - lam[:, None] * grad, 1.0 - value])
     return r, functools.reduce(np.maximum, np.abs(r).T)
 
 
 def _support_points(spec: NormSpec, x: np.ndarray):
-    """Maximize <xi, x> over the unit sphere {H(xi) = 1} of `spec`, per row.
+    """Maximize <xi, x> over the unit circle {H(xi) = 1} of `spec`, per row.
 
     Newton iteration on the stationarity system
 
         x - lam * grad H(xi) = 0,    H(xi) = 1,
 
-    warm-started at xi = x / H(x), for every row of `x` (shape (n, d)) at
-    once.  Each iteration solves the KKT systems of the active rows as one
-    stack and halves a row's step (at most 20 times) while its residual
-    fails to shrink.  The state holds the active rows only: a converged row
-    is written out once and dropped, and a full step every row takes
-    replaces the state whole; a row gets the same bits and iterations in
-    any batch.  Returns (lam, xi, iterations) of shapes (n,), (n, d) and
-    (n,); lam is both the multiplier and the maximum value.  Rows are
-    scaled to |x| = 1 so the KKT tolerance is meaningful across inputs.
-    Raises ConvergenceError naming the first row that does not converge.
+    warm-started at xi = x / H(x), for all rows of `x` (n, 2) at once, with
+    the step of ``_newton_step`` halved (at most 20 times) while a row's
+    residual fails to shrink.  The state holds the active rows only: a
+    converged row is written out once and dropped, and a full step every
+    row takes replaces the state whole, so a row gets the same bits and
+    iterations in any batch.  Returns (lam, xi, iterations, jet), where lam
+    is both multiplier and maximum and jet is H's at each row's last xi.
+    Rows are scaled to |x| = 1 so the KKT tolerance means the same for all
+    inputs.  Raises ConvergenceError naming the first row that fails.
     """
     scale = np.sqrt(row_dot(x, x))
     if np.any(scale == 0.0):
         raise ValueError("support maximization needs a nonzero direction")
     xh = x / scale[:, None]
-    lam_out, xi_out = np.empty(len(x)), np.empty_like(xh)
-    iters = np.full(len(x), -1)  # -1 until the row converges
     xi = xh / spec.value(xh)[:, None]
-    lam = row_dot(xi, xh)
-    j = spec.jet(xi)
     # state of the active rows: `rows` are their indices into `x`, `stuck`
     # the positions no halving could improve (they cannot converge)
-    rows, grad, hess = np.arange(len(x)), j.gradient, j.hessian
-    (resid, rnorm), stuck = _kkt_residual(xh, lam, j), []
+    rows, stuck, j = np.arange(len(x)), [], spec.jet(xi)
+    state = [xi, row_dot(xi, xh), j.value, j.gradient, j.hessian]
+    out, iters = [np.empty_like(a) for a in state], np.full(len(x), -1)
+    resid, rnorm = _kkt_residual(xh, *state[1:4])
     for it in range(NEWTON_MAX_ITER):
         done = rnorm <= NEWTON_KKT_TOL
         if done.any() or len(stuck):
-            out = rows[done]
-            lam_out[out], xi_out[out], iters[out] = lam[done], xi[done], it
+            for o, a in zip(out, state):
+                o[rows[done]] = a[done]
+            iters[rows[done]] = it
             keep = ~done
             keep[stuck] = False
             if not keep.any():
                 break
-            rows, xh, xi, lam, grad, hess, resid, rnorm = (
-                a[keep] for a in (rows, xh, xi, lam, grad, hess, resid, rnorm))
-        kkt = _kkt_matrices(lam, grad, hess)
-        step = np.linalg.solve(kkt, resid[..., None])[..., 0]
+            rows, xh, resid, rnorm = (a[keep] for a in (rows, xh, resid, rnorm))
+            state = [a[keep] for a in state]
+        xi, lam, _, grad, hess = state
+        d_xi, d_lam = _newton_step(lam, grad, hess, resid)
         # damped update of the state positions `todo` still halving
         todo, t = np.arange(rows.size), 1.0
         for _ in range(20):
             sel = slice(None) if todo.size == rows.size else todo
-            xi_try = xi[sel] + t * step[sel, :-1]
-            lam_try = lam[sel] + t * step[sel, -1]
+            xi_try = xi[sel] + t * d_xi[sel]
+            lam_try = lam[sel] + t * d_lam[sel]
             # a trial point at the origin has no jet and is not taken
             nonzero = np.any(xi_try != 0.0, axis=1)
             if nonzero.any():
                 live = slice(None) if nonzero.all() else nonzero
-                j_try = spec.jet(xi_try[live])
-                r_try, rn_try = _kkt_residual(xh[sel][live], lam_try[live], j_try)
+                j = spec.jet(xi_try[live])
+                trial = [xi_try[live], lam_try[live], j.value, j.gradient,
+                         j.hessian]
+                r_try, rn_try = _kkt_residual(xh[sel][live], *trial[1:4])
                 take = rn_try < rnorm[sel][live]
                 if take.size == rows.size and take.all():
-                    xi, lam, resid, rnorm = xi_try, lam_try, r_try, rn_try
-                    grad, hess = j_try.gradient, j_try.hessian
-                    todo = []
+                    state, resid, rnorm, todo = trial, r_try, rn_try, []
                     break
                 acc = np.flatnonzero(nonzero)[take]
-                p = todo[acc]
-                xi[p], lam[p], resid[p] = xi_try[acc], lam_try[acc], r_try[take]
-                rnorm[p] = rn_try[take]
-                grad[p], hess[p] = j_try.gradient[take], j_try.hessian[take]
+                for a, b in zip(state + [resid, rnorm], trial + [r_try, rn_try]):
+                    a[todo[acc]] = b[take]
                 todo = np.delete(todo, acc)
                 if todo.size == 0:
                     break
@@ -518,7 +517,7 @@ def _support_points(spec: NormSpec, x: np.ndarray):
             f"support maximization did not converge in {NEWTON_MAX_ITER} "
             f"iterations for direction {bad.tolist()}"
         )
-    return lam_out * scale, xi_out, iters
+    return out[1] * scale, out[0], iters, Jet2(*out[2:])
 
 
 def _support_values(spec: NormSpec, x):

@@ -2,7 +2,8 @@
 
 `reference_support_point` is the one-direction-at-a-time loop that
 `norms._support_points` replaced: same warm start, KKT tolerance, 20-halving
-damping and failure message.  The batched solve must take exactly as many
+damping and failure message, with the Newton step of `norms._newton_step`
+taken on a one-row batch.  The batched solve must take exactly as many
 iterations per direction and land on the same maximum, bit for bit.
 """
 
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from finslerkelvin import norms
-from finslerkelvin.norms import (ConvergenceError, Jet2, NormSpec,
-                                 NumericDualNorm, QuarticNorm)
+from finslerkelvin.norms import (ConvergenceError, EuclideanNorm, Jet2,
+                                 NormSpec, NumericDualNorm, QuarticNorm)
 from finslerkelvin.verify import SamplePlan, run_kelvin_suite
 
 # plan of the quartic benchmark run `all --norm quartic --count 1000 --seed 100`
@@ -40,7 +41,6 @@ def reference_support_point(spec, x):
     """Maximize <xi, x> over {H(xi) = 1} for one direction; (lam, xi, its)."""
     scale = float(np.sqrt(x @ x))
     xh = x / scale
-    n = spec.dim
     xi = xh / float(spec.value(xh))
     lam = float(xi @ xh)
 
@@ -53,15 +53,12 @@ def reference_support_point(spec, x):
         rnorm = float(np.max(np.abs(resid)))
         if rnorm <= norms.NEWTON_KKT_TOL:
             return lam * scale, xi, it
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = lam * j.hessian
-        kkt[:n, n] = j.gradient
-        kkt[n, :n] = j.gradient
-        step = np.linalg.solve(kkt, resid)
+        d_xi, d_lam = norms._newton_step(np.array([lam]), j.gradient[None],
+                                         j.hessian[None], resid[None])
         t = 1.0
         for _ in range(20):
-            xi_try = xi + t * step[:n]
-            lam_try = lam + t * step[n]
+            xi_try = xi + t * d_xi[0]
+            lam_try = lam + t * d_lam[0]
             if np.any(xi_try != 0.0):
                 j_try = spec.jet(xi_try)
                 r_try = residual(xi_try, lam_try, j_try)
@@ -75,7 +72,7 @@ def reference_support_point(spec, x):
 
 
 def _compare_with_reference(spec, pts):
-    lam, xi, its = norms._support_points(spec, pts)
+    lam, xi, its, _ = norms._support_points(spec, pts)
     assert lam.shape == its.shape == (len(pts),) and xi.shape == pts.shape
     ref = [reference_support_point(spec, p) for p in pts]
     ref_lam = np.array([r[0] for r in ref])
@@ -105,8 +102,8 @@ def test_a_permuted_batch_returns_the_permuted_rows(spec):
     # row must round alike wherever it sits in the batch
     pts = QUARTIC_PLAN.points(QuarticNorm())[:300]
     perm = np.random.default_rng(5).permutation(len(pts))
-    lam, xi, its = norms._support_points(spec, pts)
-    lam_p, xi_p, its_p = norms._support_points(spec, pts[perm])
+    lam, xi, its, _ = norms._support_points(spec, pts)
+    lam_p, xi_p, its_p, _ = norms._support_points(spec, pts[perm])
     assert len(set(its.tolist())) > 1
     assert np.array_equal(lam_p, lam[perm])
     assert np.array_equal(xi_p, xi[perm])
@@ -169,3 +166,51 @@ def test_kelvin_suite_solves_each_point_set_once(monkeypatch):
     monkeypatch.setattr(norms, "_support_points", counting)
     run_kelvin_suite(QuarticNorm(), SamplePlan(count=50))
     assert sizes.count(50) == 3
+
+
+def test_dual_jet_value_and_gradient_are_the_solve_bits():
+    # one solve on the rows as given: the jet rounds H° and grad H° exactly
+    # as value and value_gradient do
+    pts = QUARTIC_PLAN.points(QuarticNorm())
+    dual = NumericDualNorm(QuarticNorm())
+    jet = dual.jet(pts)
+    assert np.array_equal(jet.value, dual.value(pts))
+    assert np.array_equal(jet.gradient, dual.value_gradient(pts)[1])
+    assert np.array_equal(jet.hessian, np.swapaxes(jet.hessian, 1, 2))
+
+
+def test_dual_jet_takes_the_primal_jet_from_its_one_solve(monkeypatch):
+    pts = QUARTIC_PLAN.points(QuarticNorm())[:20]
+    _, xi, _, pj = norms._support_points(QuarticNorm(), pts)
+    # the returned jet is H's at each row's last accepted iterate
+    final = QuarticNorm().jet(xi)
+    for got, want in zip((pj.value, pj.gradient, pj.hessian),
+                         (final.value, final.gradient, final.hessian)):
+        assert np.array_equal(got, want)
+
+    # the dual jet makes one solve and evaluates no primal jet beyond the
+    # solve's own
+    calls = []
+    solve, primal_jet = norms._support_points, QuarticNorm.jet
+
+    def counting_solve(spec, x):
+        calls.append("solve")
+        return solve(spec, x)
+
+    def counting_jet(self, x):
+        calls.append("jet")
+        return primal_jet(self, x)
+
+    monkeypatch.setattr(norms, "_support_points", counting_solve)
+    monkeypatch.setattr(QuarticNorm, "jet", counting_jet)
+    norms._support_points(QuarticNorm(), pts)
+    alone = calls[:]
+    calls.clear()
+    NumericDualNorm(QuarticNorm()).jet(pts)
+    assert calls == alone and calls.count("solve") == 1
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_numeric_dual_refuses_a_primal_outside_the_plane(dim):
+    with pytest.raises(ValueError, match="dim 2"):
+        NumericDualNorm(EuclideanNorm(dim))

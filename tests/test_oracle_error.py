@@ -1,4 +1,5 @@
-"""scripts/oracle_error.py on real and edited semilinear and nlaplace reports."""
+"""scripts/oracle_error.py on real and edited semilinear and nlaplace reports,
+and its 40-digit check of the quartic numeric dual."""
 
 import copy
 import importlib.util
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from finslerkelvin import RiemannianNorm, cli, random_spd_matrix
+from finslerkelvin import (Jet2, NumericDualNorm, QuarticNorm, RiemannianNorm,
+                           SamplePlan, cli, random_spd_matrix)
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "oracle_error.py"
 
@@ -105,3 +107,57 @@ def test_a_perturbed_affine_row_raises_the_max(oracle_error, nlaplace_report,
     other = copy.deepcopy(nlaplace_report)
     other["suites"][0]["rows"][7]["lhs"] = -1e-6
     assert _affine_max(oracle_error, other, tmp_path) == 1e-6
+
+
+QUARTIC_PLAN = SamplePlan(count=1000, seed=100)
+
+
+def _quartic_worst(module, points):
+    """Largest relative error of each quartic-dual quantity, in units of 1."""
+    errors = module.quartic_errors_at(points)
+    assert set(errors) == {"H°", "grad H°", "D2H°", "bidual"}
+    return {name: max(errs) * module.EPS for name, errs in errors.items()}
+
+
+def test_quartic_dual_matches_the_40_digit_kkt_solve(oracle_error):
+    # the decimal Newton solve and its Gaussian elimination are the
+    # independent check of the closed-form Newton step and dual Hessian;
+    # the floor is NEWTON_KKT_TOL, not the rounding of the last step
+    points = QUARTIC_PLAN.points(QuarticNorm())[::20]
+    assert len(points) == 50
+    assert max(_quartic_worst(oracle_error, points).values()) < 1e-11
+
+
+def test_the_kkt_oracle_sees_a_dual_hessian_off_by_1e_9(oracle_error,
+                                                        monkeypatch):
+    jet = NumericDualNorm.jet
+
+    def scaled(self, x):
+        j = jet(self, x)
+        return Jet2(j.value, j.gradient, j.hessian * (1.0 + 1e-9))
+
+    monkeypatch.setattr(NumericDualNorm, "jet", scaled)
+    worst = _quartic_worst(oracle_error, QUARTIC_PLAN.points(QuarticNorm())[::20])
+    assert worst.pop("D2H°") > 1e-11
+    assert max(worst.values()) < 1e-11
+
+
+def test_a_quartic_report_gets_the_dual_section(oracle_error, tmp_path):
+    path = tmp_path / "quartic.json"
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["all", "--norm", "quartic", "--count", "30",
+                         "--seed", "3", "--out", str(path)]) == 0
+    errors = oracle_error.quartic_errors(str(path))
+    plan = SamplePlan(count=30, seed=3).points(QuarticNorm()).tolist()
+    for errs, where in errors.values():
+        assert len(errs) == 30 and [w[2] for w in where] == plan
+        assert max(errs) < 1e-11 / oracle_error.EPS
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert oracle_error.main([str(path)] * 2 + ["--pool"]) == 0
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "pooled over 2 reports" and "quartic dual" in lines[1]
+    assert [line.split()[:2] for line in lines[2:6]] == [
+        ["H°", "60"], ["grad", "H°"], ["D2H°", "60"], ["bidual", "60"]]
+    assert len(lines) == 10  # plus the row behind each max
