@@ -27,6 +27,7 @@ from .norms import ConvergenceError, NormSpec, parse_norm
 from .report import REPORT_SCHEMA, ResidualReport, render_csv, render_json, render_table
 from .sampling import MAX_DIM
 from .verify import (
+    _WEAK_FORM_MAX_DIM,
     SamplePlan,
     run_counterexample_scan,
     run_identity_suite,
@@ -120,11 +121,15 @@ def _convert(key: str, text: str):
 
 def _refusal(suite: str, spec: NormSpec) -> str | None:
     """Why `suite` cannot run on `spec`, or None: the transform theorems
-    need a quadratic-form norm, the quasilinear one also N >= 3."""
+    need a quadratic-form norm, the quasilinear one also N >= 3, and the
+    semilinear weak-form quadrature a mesh small enough to build."""
     if suite in ("semilinear", "nlaplace") and spec.matrix is None:
         return "theorem suites need a quadratic-form norm"
     if suite == "nlaplace" and spec.dim < 3:
         return "needs dimension >= 3"
+    if suite == "semilinear" and spec.dim > _WEAK_FORM_MAX_DIM:
+        return (f"needs dimension <= {_WEAK_FORM_MAX_DIM}: its weak-form "
+                f"quadrature mesh has 10^N points per box")
     return None
 
 

@@ -7,14 +7,11 @@ Three families are built in:
 * ``RiemannianNorm``: H(x) = sqrt(<Mx, x>) for a symmetric positive-definite
   matrix M.  All derivative and dual-norm formulas are closed form.
 * ``EuclideanNorm``: H(x) = |x|, mathematically ``RiemannianNorm(identity)``.
-  The class stays for a measured cost, not for its bytes.  Folded into
-  ``RiemannianNorm(np.eye(N))`` through the stacked matmuls,
-  ``all --norm euclidean:3 --count 1000`` ran about 11% slower (in-process
-  CPU time, median 1.47 -> 1.64 s, slower in 11 of 12 alternating pairs on
-  a 2-vCPU VM), and still about 20% slower once the suites were batched
-  (slower in 6 of 6 pairs).  The matrix route does d^2 work and makes more
-  numpy calls per point.  Its ``sqrt(sum(x*x))`` rounds the same for one
-  point and for a batch.
+  The class stays for a measured cost, not for its bytes: the matrix route
+  does d^2 work and makes more numpy calls per point.  Run as
+  ``riemannian:`` the 3x3 identity, ``all --count 1000`` took a median 22-28%
+  more CPU time than ``euclidean:3`` (three sets of 40 alternating in-process
+  pairs on a 2-vCPU VM, slower in 35-39 of each 40).
 * ``QuarticNorm``: H(x) = (x1^4 + 3 x1^2 x2^2 + x2^4)^(1/4) in the plane.
   Its unit ball is uniformly convex but not an ellipse, so its dual norm has
   no closed form.
@@ -152,11 +149,6 @@ def _as_points(x, dim: int) -> np.ndarray:
     return pts
 
 
-def _check_not_origin(x: np.ndarray) -> None:
-    if not x.any(axis=-1).all():
-        raise ValueError("norm is not differentiable at the origin")
-
-
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a, b> over the last axis, rounded exactly as the 1-D ``a @ b`` is.
 
@@ -188,16 +180,20 @@ def quadratic_form(m: np.ndarray, x: np.ndarray):
 class NormSpec:
     """Shared contract for the built-in norms.
 
-    ``value`` (H), ``dual_value`` (H°(x) = sup{<xi, x> : H(xi) <= 1},
-    without building the dual spec) and ``value_gradient`` broadcast over
-    leading axes; one point gives a float, and ``value`` and ``dual_value``
-    map the origin to 0.  ``value_gradient(x)`` is (H(x), grad H(x)) from
-    one evaluation (one Newton solve for the numeric dual), its value bit
-    for bit ``value(x)``.  ``jet`` takes one point (d,) or a batch (n, d)
-    and returns one :class:`Jet2` of the matching shapes; it refuses a
-    batch with any zero row.  ``dual()`` is the dual norm's spec and
-    ``canonical()`` the text ``parse_norm`` reads back.  Specs are immutable
-    and every method is pure, so they can be shared across threads.
+    Each family defines one ``_eval(pts, order)`` on a float array `pts`
+    whose last axis is ``dim``: H per row at `order` 0, (H, grad H) at 1
+    and (H, grad H, D^2 H) at 2, with the leading shape of `pts`.
+    ``value``, ``value_gradient`` and ``jet`` are that routine behind one
+    input check, so they broadcast over leading axes and agree bit for bit:
+    ``value_gradient(x)`` is (H(x), grad H(x)) from one evaluation (one
+    Newton solve for the numeric dual), its value that of ``value(x)``.
+    ``value`` and ``dual_value`` (H°(x) = sup{<xi, x> : H(xi) <= 1}) map the
+    origin to 0.  ``jet`` takes one point (d,) or a batch (n, d), refuses
+    any zero row and returns one :class:`Jet2` of the matching shapes, with
+    a float value at one point.  ``dual()`` is the dual norm's spec (by
+    default the planar ``NumericDualNorm``) and ``dual_value`` its value;
+    ``canonical()`` is the text ``parse_norm`` reads back.  Specs are
+    immutable and every method is pure, so they can be shared across threads.
 
     ``matrix`` is M for quadratic-form norms H(x) = sqrt(<Mx, x>) and None
     for every other norm.  It is the one answer to "does the transform
@@ -211,20 +207,26 @@ class NormSpec:
     dim: int
     matrix: SpdMatrix | None = None
 
-    def value(self, x):
+    def _eval(self, pts: np.ndarray, order: int):
         raise NotImplementedError
+
+    def value(self, x):
+        return self._eval(_as_points(x, self.dim), 0)
 
     def value_gradient(self, x):
-        raise NotImplementedError
+        return self._eval(_as_points(x, self.dim), 1)
 
     def jet(self, x) -> Jet2:
-        raise NotImplementedError
+        pts = _as_points(x, self.dim)
+        if not pts.any(axis=-1).all():
+            raise ValueError("norm is not differentiable at the origin")
+        return _jet(*self._eval(pts, 2))
 
     def dual(self) -> "NormSpec":
-        raise NotImplementedError
+        return NumericDualNorm(self)
 
     def dual_value(self, x):
-        raise NotImplementedError
+        return self.dual().value(x)
 
     def canonical(self) -> str:
         raise NotImplementedError
@@ -248,33 +250,25 @@ class RiemannianNorm(NormSpec):
         self.matrix = matrix
         self.dim = matrix.dim
 
-    @staticmethod
-    def _form(pts: np.ndarray, m: np.ndarray):
-        """(Mx, sqrt(<Mx, x>)) per row of `pts`."""
-        mx, q = quadratic_form(m, pts)
-        return mx, np.sqrt(np.maximum(q, 0.0))
-
-    def value(self, x):
-        return self._form(_as_points(x, self.dim), self.matrix.entries)[1]
-
-    def value_gradient(self, x):
-        mx, h = self._form(_as_points(x, self.dim), self.matrix.entries)
-        return h, mx / h[..., None]
-
-    def jet(self, x) -> Jet2:
-        pts = _as_points(x, self.dim)
-        _check_not_origin(pts)
+    def _eval(self, pts, order):
         m = self.matrix.entries
-        mx, h = self._form(pts, m)
+        mx, q = quadratic_form(m, pts)
+        h = np.sqrt(np.maximum(q, 0.0))
+        if order == 0:
+            return h
         grad = mx / h[..., None]
-        hess = (m - row_outer(grad, grad)) / h[..., None, None]
-        return _jet(h, grad, hess)
+        if order == 1:
+            return h, grad
+        return h, grad, (m - row_outer(grad, grad)) / h[..., None, None]
 
     def dual(self) -> "RiemannianNorm":
         return RiemannianNorm(SpdMatrix(self.matrix.inverse))
 
     def dual_value(self, x):
-        return self._form(_as_points(x, self.dim), self.matrix.inverse)[1]
+        # the raw inverse, which ``dual()`` re-symmetrises, so the two
+        # round H° apart on some points
+        q = quadratic_form(self.matrix.inverse, _as_points(x, self.dim))[1]
+        return np.sqrt(np.maximum(q, 0.0))
 
     def canonical(self) -> str:
         return "riemannian:" + json.dumps(
@@ -292,28 +286,19 @@ class EuclideanNorm(NormSpec):
         self.dim = dim
         self.matrix = SpdMatrix(np.eye(dim))
 
-    def value(self, x):
-        pts = _as_points(x, self.dim)
-        return np.sqrt(np.sum(pts * pts, axis=-1))
-
-    def value_gradient(self, x):
-        pts = _as_points(x, self.dim)
-        h = self.value(pts)
-        return h, pts / h[..., None]
-
-    def jet(self, x) -> Jet2:
-        pts = _as_points(x, self.dim)
-        _check_not_origin(pts)
-        h = np.sqrt(row_dot(pts, pts))[..., None]
-        grad = pts / h
-        hess = np.eye(self.dim) - row_outer(grad, grad)
-        return _jet(h[..., 0], grad, hess / h[..., None])
+    def _eval(self, pts, order):
+        # <x, x> rounds two ways: np.sum at orders 0-1, row_dot at 2, so
+        # ``value`` and ``jet`` can differ in the last bit (the CHANGES.md
+        # FOUND: line on `EuclideanNorm.value` against `jet`)
+        if order < 2:
+            h = np.sqrt(np.sum(pts * pts, axis=-1))
+            return h if order == 0 else (h, pts / h[..., None])
+        h = np.sqrt(row_dot(pts, pts))
+        grad = pts / h[..., None]
+        return h, grad, (np.eye(self.dim) - row_outer(grad, grad)) / h[..., None, None]
 
     def dual(self) -> "EuclideanNorm":
         return EuclideanNorm(self.dim)
-
-    def dual_value(self, x):
-        return self.value(x)
 
     def canonical(self) -> str:
         return f"euclidean:{self.dim}"
@@ -332,8 +317,7 @@ class QuarticNorm(NormSpec):
         self.dim = 2
 
     @staticmethod
-    def _eval(pts: np.ndarray, order: int):
-        """H per row, with grad H at `order` 1 and also D^2 H at 2."""
+    def _eval(pts, order):
         x1, x2 = pts[..., 0], pts[..., 1]
         s1, s2 = np.float_power(x1, 2), np.float_power(x2, 2)
         q = np.float_power(x1, 4) + 3.0 * s1 * s2 + np.float_power(x2, 4)
@@ -355,23 +339,6 @@ class QuarticNorm(NormSpec):
         hess[..., 1, 1] = w1 * (6.0 * s1 + 12.0 * s2) - w2 * (g2 * g2)
         return h, grad, hess
 
-    def value(self, x):
-        return self._eval(_as_points(x, 2), 0)
-
-    def value_gradient(self, x):
-        return self._eval(_as_points(x, 2), 1)
-
-    def jet(self, x) -> Jet2:
-        pts = _as_points(x, 2)
-        _check_not_origin(pts)
-        return _jet(*self._eval(pts, 2))
-
-    def dual(self) -> "NumericDualNorm":
-        return NumericDualNorm(self)
-
-    def dual_value(self, x):
-        return _support_values(self, x)
-
     def canonical(self) -> str:
         return "quartic"
 
@@ -389,28 +356,24 @@ class NumericDualNorm(NormSpec):
             raise ValueError("numeric dual norm implemented for dim 2")
         self.primal, self.dim = primal, 2
 
-    def value(self, x):
-        return _support_values(self.primal, x)
-
-    def value_gradient(self, x):
-        pts = _as_points(x, 2)
-        lam, xi, _, _ = _support_points(self.primal, pts.reshape(-1, 2))
-        return _unbox(lam.reshape(pts.shape[:-1])), xi.reshape(pts.shape)
-
-    def jet(self, x) -> Jet2:
-        pts = _as_points(x, 2)
-        _check_not_origin(pts)
+    def _eval(self, pts, order):
+        if order == 0:
+            return _support_values(self.primal, pts)
         lam, xi, _, pj = _support_points(self.primal, pts.reshape(-1, 2))
+        h, grad = _unbox(lam.reshape(pts.shape[:-1])), xi.reshape(pts.shape)
+        if order == 1:
+            return h, grad
         t, _, curv = _tangent_curvature(pj.gradient, pj.hessian)
         hess = row_outer(t, t) / (lam * curv)[:, None, None]
-        return _jet(lam.reshape(pts.shape[:-1]), xi.reshape(pts.shape),
-                    hess.reshape(pts.shape + (2,)))
+        return h, grad, hess.reshape(pts.shape + (2,))
 
     def dual(self) -> NormSpec:
         # Biduality: the dual of the dual is the primal norm again.
         return self.primal
 
     def dual_value(self, x):
+        # the bidual by a Newton solve over this norm's own unit circle, not
+        # the primal's value: the identity suite's `bidual` row checks it
         return _support_values(self, x)
 
     def canonical(self) -> str:

@@ -133,6 +133,10 @@ _FD_BLOCK = 128
 _BUMP_BOXES = 5
 _BUMP_RADIUS = 0.22
 _WEAK_FD_STEP = 1e-5
+# The largest N whose grid^N quadrature mesh is built: at N = 6 (grid 10)
+# `semilinear --count 5` took 19.5 s and 538 MB peak RSS on a 2-vCPU VM,
+# and the mesh grows tenfold with each further N.
+_WEAK_FORM_MAX_DIM = 6
 
 
 def _jets(field: ScalarField, pts: np.ndarray, jet_mode: str = "auto"):
@@ -637,6 +641,9 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
     """
     _require_quadratic_form(ctx.spec, "the weak-form cross-check")
     n = ctx.dim
+    if n > _WEAK_FORM_MAX_DIM:
+        raise ValueError(f"the weak-form cross-check builds a grid^N mesh "
+                         f"only up to N = {_WEAK_FORM_MAX_DIM}, got N = {n}")
     grid = 24 if n <= 3 else 10
     centers = cube_directions(_BUMP_BOXES, n, skip=29)
     centers = centers * (1.3 / np.asarray(ctx.spec.value(centers)))[:, None]

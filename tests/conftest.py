@@ -1,8 +1,8 @@
-"""Shared finite-difference and grid-search oracles.
+"""Shared finite-difference and grid-search oracles, and a test norm.
 
-These are deliberately written from scratch with plain loops so that a bug
-in the package's own differentiation or optimization code cannot confirm
-itself through the tests.
+The oracles are deliberately written from scratch with plain loops so that
+a bug in the package's own differentiation or optimization code cannot
+confirm itself through the tests.
 """
 
 import os
@@ -12,6 +12,28 @@ import numpy as np
 import pytest
 
 import finslerkelvin
+from finslerkelvin.norms import NormSpec, QuarticNorm
+
+
+class StretchedQuartic(NormSpec):
+    """The quartic norm of (x1, s x2): far from round for large s, so full
+    Newton steps overshoot and the solve takes damped steps.  It defines
+    only ``_eval`` and ``canonical``; the rest of the contract, the dual
+    included, comes from ``NormSpec``."""
+
+    def __init__(self, s):
+        self.stretch, self.dim = np.array([1.0, s]), 2
+
+    def _eval(self, pts, order):
+        a = self.stretch
+        out = QuarticNorm._eval(pts * a, order)
+        if order == 0:
+            return out
+        h, grad = out[0], out[1] * a
+        return (h, grad) if order == 1 else (h, grad, a[:, None] * out[2] * a)
+
+    def canonical(self):
+        return f"stretched-quartic:{self.stretch[1]!r}"
 
 
 def fd_gradient(f, x, h=1e-6):

@@ -287,6 +287,27 @@ def test_semilinear_dimension_5_reaches_a_verdict(tmp_path):
     assert json.loads(out.read_text())["suites"][0]["count"] == 20
 
 
+def test_semilinear_above_the_weak_form_mesh_limit_exits_2(package_env):
+    # the weak-form quadrature would build a 10^7-point mesh per box
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslerkelvin", "semilinear", "--norm",
+         "euclidean:7"],
+        capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: semilinear: needs dimension <= 6")
+
+
+def test_all_at_dimension_11_skips_semilinear_and_runs_the_rest(tmp_path):
+    out = tmp_path / "r.json"
+    code = main(["all", "--norm", "euclidean:11", "--count", "3",
+                 "--out", str(out)])
+    assert code in (EXIT_PASS, EXIT_VERIFICATION)
+    suites = json.loads(out.read_text())["suites"]
+    assert {s["suite"] for s in suites if "skipped" in s["details"]} == {"semilinear"}
+    assert len(suites) == 5
+
+
 def test_io_error_exit_code(tmp_path):
     code = main(["identities", "--norm", "euclidean:2",
                  "--out", str(tmp_path / "missing" / "deep" / "r.json")] + FAST)

@@ -1,10 +1,19 @@
-"""A planted defect in the inversion map fails the run, by named gates.
+"""A planted defect in the inversion calculus fails the run, by named gates.
 
-The defect scales T: `kelvin_map` divided by 1 + eps, patched in-process
-into both modules that call it.  At eps = 1e-3 three suites FAIL; at 1e-7
-only the kelvin round trips see it (tolerance 1e-8).  The pinned names
-record which gates catch each size of defect; the printed FAIL lines must
-name exactly the gates the reports hold as failing.
+Each defect is patched in-process over one name that the suites look up
+when called:
+
+* T scaled: `kelvin_map` divided by 1 + eps, in both modules that call it.
+  At eps = 1e-3 three suites FAIL; at 1e-7 only the kelvin round trips see
+  it (tolerance 1e-8).
+* The hat weight H^(2-N) raised to H^(2+eps-N): `kelvin.norm_power_field`
+  gets its exponent + eps.
+* D^2 T scaled: `kelvin.map_second_derivative` times 1 + eps.  Only the
+  semilinear residuals see it; nlaplace's `quadratic,auto` rows, which also
+  go through D^2 T, do not (a FOUND: line in CHANGES.md).
+
+The pinned names record which gates catch each defect; the printed FAIL
+lines must name exactly the gates the reports hold as failing.
 """
 
 import pytest
@@ -15,23 +24,57 @@ from conftest import failed_gates
 
 RUNNERS = ("run_identity_suite", "run_kelvin_suite", "run_counterexample_scan",
            "run_semilinear_suite", "run_nlaplace_suite")
-CAUGHT = {
-    1e-3: {"kelvin": ["roundtrip", "pullback_involution"],
-           "semilinear": ["fd_order[quadratic]", "max_rel[gaussian-bump]"],
-           "nlaplace": ["max_rel[quadratic,auto]", "max_rel[quadratic,numeric]"]},
-    1e-7: {"kelvin": ["roundtrip", "pullback_involution"]},
+
+
+def scaled_kelvin_map(eps):
+    def plant(monkeypatch):
+        kelvin_map = kelvin.kelvin_map
+        for module in (kelvin, verify):
+            monkeypatch.setattr(module, "kelvin_map",
+                                lambda ctx, x: kelvin_map(ctx, x) / (1.0 + eps))
+    return plant
+
+
+def raised_hat_weight(eps):
+    def plant(monkeypatch):
+        norm_power_field = kelvin.norm_power_field
+        monkeypatch.setattr(kelvin, "norm_power_field",
+                            lambda spec, exponent, name=None:
+                            norm_power_field(spec, exponent + eps, name))
+    return plant
+
+
+def scaled_map_second_derivative(eps):
+    def plant(monkeypatch):
+        d2t = kelvin.map_second_derivative
+        monkeypatch.setattr(kelvin, "map_second_derivative",
+                            lambda ctx, x: d2t(ctx, x) * (1.0 + eps))
+    return plant
+
+
+MUTANTS = {
+    "kelvin_map/(1+1e-3)": (
+        scaled_kelvin_map(1e-3),
+        {"kelvin": ["roundtrip", "pullback_involution"],
+         "semilinear": ["fd_order[quadratic]", "max_rel[gaussian-bump]"],
+         "nlaplace": ["max_rel[quadratic,auto]", "max_rel[quadratic,numeric]"]}),
+    "kelvin_map/(1+1e-7)": (
+        scaled_kelvin_map(1e-7),
+        {"kelvin": ["roundtrip", "pullback_involution"]}),
+    "hat_weight+1e-3": (
+        raised_hat_weight(1e-3),
+        {"semilinear": ["max_rel[quadratic]", "max_rel[gaussian-bump]"]}),
+    "map_second_derivative*(1+1e-3)": (
+        scaled_map_second_derivative(1e-3),
+        {"semilinear": ["max_rel[quadratic]", "max_rel[gaussian-bump]"]}),
 }
 
 
-@pytest.mark.parametrize("eps", CAUGHT)
-def test_a_scaled_kelvin_map_fails_by_named_gates(eps, monkeypatch, tmp_path, capsys):
-    kelvin_map = kelvin.kelvin_map
-
-    def scaled(ctx, x):
-        return kelvin_map(ctx, x) / (1.0 + eps)
-
-    for module in (kelvin, verify):
-        monkeypatch.setattr(module, "kelvin_map", scaled)
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_a_planted_defect_fails_by_named_gates(mutant, monkeypatch, tmp_path,
+                                               capsys):
+    plant, caught = MUTANTS[mutant]
+    plant(monkeypatch)
     reports = []
     for name in RUNNERS:
         def record(*args, runner=getattr(cli, name)):
@@ -47,4 +90,4 @@ def test_a_scaled_kelvin_map_fails_by_named_gates(eps, monkeypatch, tmp_path, ca
                if line.startswith("[FAIL] ")}
     held = {rep.suite: [g.name for g in rep.gates if not g.ok]
             for rep in reports if not rep.passed}
-    assert printed == held == CAUGHT[eps]
+    assert printed == held == caught

@@ -13,28 +13,14 @@ import numpy as np
 import pytest
 
 from finslerkelvin import norms
-from finslerkelvin.norms import (ConvergenceError, EuclideanNorm, Jet2,
-                                 NormSpec, NumericDualNorm, QuarticNorm)
+from finslerkelvin.norms import (ConvergenceError, EuclideanNorm,
+                                 NumericDualNorm, QuarticNorm)
 from finslerkelvin.verify import SamplePlan, run_kelvin_suite
+
+from conftest import StretchedQuartic
 
 # plan of the quartic benchmark run `all --norm quartic --count 1000 --seed 100`
 QUARTIC_PLAN = SamplePlan(count=1000, seed=100)
-
-
-class StretchedQuartic(NormSpec):
-    """The quartic norm of (x1, s x2): far from round for large s, so full
-    Newton steps overshoot and the solve takes damped steps."""
-
-    def __init__(self, s):
-        self.stretch, self.dim = np.array([1.0, s]), 2
-
-    def value(self, x):
-        return QuarticNorm().value(np.asarray(x) * self.stretch)
-
-    def jet(self, x):
-        a = self.stretch
-        j = QuarticNorm().jet(np.asarray(x) * a)
-        return Jet2(j.value, j.gradient * a, a[:, None] * j.hessian * a)
 
 
 def reference_support_point(spec, x):

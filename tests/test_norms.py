@@ -16,6 +16,7 @@ from finslerkelvin import (
 from finslerkelvin.verify import random_spd_matrix
 
 from conftest import (
+    StretchedQuartic,
     annulus_points,
     grid_search_dual,
     richardson_gradient,
@@ -33,6 +34,8 @@ def all_specs():
         RiemannianNorm(random_spd_matrix(3, seed=7)),
         QuarticNorm(),
         QuarticNorm().dual(),
+        # a norm that defines only `_eval` and `canonical`
+        StretchedQuartic(3.0),
     ]
 
 
@@ -190,7 +193,7 @@ def test_quartic_value_and_gradient_equal_its_jet(rng):
 
 
 @pytest.mark.parametrize("spec", QUADRATIC_BATCH_SPECS + [
-    QuarticNorm(), NumericDualNorm(QuarticNorm())])
+    QuarticNorm(), NumericDualNorm(QuarticNorm()), StretchedQuartic(3.0)])
 def test_value_gradient_equals_value_and_gradient_bitwise(spec, rng):
     pts = annulus_points(rng, spec.dim, count=50)
     for x in (pts, pts[0]):
@@ -287,7 +290,7 @@ def test_gradient_zero_homogeneity(rng):
     "spec,tol",
     [(EuclideanNorm(3), 1e-8), (DIAG41, 1e-8),
      (RiemannianNorm(random_spd_matrix(4, seed=11)), 1e-8),
-     (QuarticNorm(), 1e-6)],
+     (QuarticNorm(), 1e-6), (StretchedQuartic(3.0), 1e-6)],
 )
 def test_gradient_dualities(spec, tol, rng):
     dual = spec.dual()

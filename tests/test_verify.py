@@ -453,6 +453,15 @@ def test_weak_form_crosscheck():
         assert out["worst"] <= 1e-2
 
 
+def test_weak_form_crosscheck_refuses_a_mesh_above_its_limit(monkeypatch):
+    # the limit is lowered so that a broken check builds a small mesh only
+    monkeypatch.setattr(verify, "_WEAK_FORM_MAX_DIM", 2)
+    spec = EuclideanNorm(3)
+    prob = manufacture_semilinear(spec, "gaussian-bump")
+    with pytest.raises(ValueError, match="only up to N = 2, got N = 3"):
+        weak_form_crosscheck(KelvinContext(spec), prob)
+
+
 def test_double_kelvin_source_roundtrip():
     # the dual problem's source, pulled back through the dual map, is f again
     spec = RiemannianNorm(random_spd_matrix(3, seed=9))
