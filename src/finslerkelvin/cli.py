@@ -20,6 +20,8 @@ configuration error (including a configuration the suites cannot evaluate),
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -216,6 +218,34 @@ def _status_line(rep: ResidualReport) -> str:
     return f"[FAIL] {line} - failed: {', '.join(fails)}" if fails else f"[PASS] {line}"
 
 
+def _write(stream, text: str) -> None:
+    """Write and flush `text`.  On OSError (a closed pipe or descriptor; one
+    closed before start-up leaves the stream None) point the descriptor at
+    the null device, so that the interpreter's last flush cannot fail again,
+    and raise."""
+    try:
+        if stream is None:
+            raise OSError(errno.EBADF, "stream closed at start-up")
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        try:
+            fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        except (AttributeError, OSError):  # no descriptor, nothing to flush
+            pass
+        raise
+
+
+def _error(message: str) -> None:
+    """`error: message` on stderr, unless stderr itself cannot be written."""
+    try:
+        _write(sys.stderr, f"error: {message}\n")
+    except OSError:
+        pass
+
+
 def run(config: RunConfig) -> int:
     """Execute the configured suite(s), print summaries, write the report."""
     spec, plan = config.spec(), config.plan()
@@ -238,8 +268,11 @@ def run(config: RunConfig) -> int:
 
     # stdout carries the report itself when there is no --out
     status_out = sys.stdout if config.out is not None else sys.stderr
-    for rep in reports:
-        print(_status_line(rep), file=status_out)
+    try:
+        _write(status_out, "".join(_status_line(rep) + "\n" for rep in reports))
+    except OSError as exc:
+        _error(f"cannot write status lines: {exc}")
+        return EXIT_IO
 
     passed = all(r.passed for r in reports)
     if config.format == "json":
@@ -257,12 +290,12 @@ def run(config: RunConfig) -> int:
 
     try:
         if config.out is None:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
         else:
             with open(config.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        _error(f"cannot write report: {exc}")
         return EXIT_IO
     return EXIT_PASS if passed else EXIT_VERIFICATION
 
@@ -307,7 +340,7 @@ def main(argv=None) -> int:
                 with open(args.config, encoding="utf-8") as fh:
                     text = fh.read()
             except OSError as exc:
-                print(f"error: cannot read config: {exc}", file=sys.stderr)
+                _error(f"cannot read config: {exc}")
                 return EXIT_IO
             config = parse_config(text)
         else:
@@ -318,7 +351,7 @@ def main(argv=None) -> int:
         dim = overrides.pop("dim", None)
         config = _validate(replace(config, **overrides), dim)
     except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_CONFIG
 
     try:
@@ -326,7 +359,7 @@ def main(argv=None) -> int:
     except (ValueError, ConvergenceError) as exc:
         # a valid configuration the suites cannot evaluate (say, a stencil
         # that would reach the origin) is not a verification failure
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_CONFIG
 
 

@@ -60,14 +60,9 @@ __all__ = [
 ]
 
 _SELF_CHECK_POINTS = 8
-# Closed-form derivative paths (quadratic-form norms) vs paths that go
-# through the Newton dual; the split mirrors the conditioning of the two.
-TOL_CLOSED_FORM = 1e-8
-TOL_NUMERIC_DUAL = 1e-6
-
-
-def _path_tolerance(spec: NormSpec) -> float:
-    return TOL_CLOSED_FORM if spec.matrix is not None else TOL_NUMERIC_DUAL
+# One bound for both derivative paths: the Newton dual is polished to the
+# rounding floor, so closed-form and Newton-dual residuals both sit near eps.
+TOL_DUALITY = 1e-8
 
 
 class KelvinContext:
@@ -90,7 +85,7 @@ class KelvinContext:
         worst = float(np.max(np.abs(np.concatenate(
             [self.dual.value(gp), self.spec.value(gd)]) - 1.0)))
         # a NaN defect is refused too
-        if not worst <= _path_tolerance(spec):
+        if not worst <= TOL_DUALITY:
             raise ValueError(
                 f"dual norm inconsistent with primal (duality defect {worst:.3e})"
             )

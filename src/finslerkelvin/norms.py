@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 NEWTON_MAX_ITER = 50
-NEWTON_KKT_TOL = 1e-12
+NEWTON_KKT_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -347,8 +347,9 @@ class NumericDualNorm(NormSpec):
     """Dual of a planar norm without a closed-form dual (other dims: ValueError).
 
     Value and gradient (the maximizer xi) come from one Newton solve, as in
-    ``value_gradient``; the Hessian t (x) t / (H°(x) <D^2 H(xi) t, t>) inverts
-    the optimality system on the tangent t, at the solve's last primal jet.
+    ``value_gradient``: a 1e-8 KKT stop, then one polishing Newton step. The
+    Hessian t (x) t / (H°(x) <D^2 H(xi) t, t>) inverts the optimality system
+    on the tangent t, at the solve's primal jet.
     """
 
     def __init__(self, primal: NormSpec):
@@ -418,10 +419,12 @@ def _support_points(spec: NormSpec, x: np.ndarray):
     residual fails to shrink.  The state holds the active rows only: a
     converged row is written out once and dropped, and a full step every
     row takes replaces the state whole, so a row gets the same bits and
-    iterations in any batch.  Returns (lam, xi, iterations, jet), where lam
-    is both multiplier and maximum and jet is H's at each row's last xi.
-    Rows are scaled to |x| = 1 so the KKT tolerance means the same for all
-    inputs.  Raises ConvergenceError naming the first row that fails.
+    iterations in any batch.  A row stops at a KKT residual of 1e-8, then
+    takes one full step (no damping, no test) to the rounding floor.
+    Returns (lam, xi, iterations, jet) there: lam is both multiplier and
+    maximum, the iterations count that step, jet is H's at xi.  Rows are
+    scaled to |x| = 1 so the KKT tolerance means the same for all inputs.
+    Raises ConvergenceError naming the first row that fails.
     """
     scale = np.sqrt(row_dot(x, x))
     if np.any(scale == 0.0):
@@ -480,7 +483,11 @@ def _support_points(spec: NormSpec, x: np.ndarray):
             f"support maximization did not converge in {NEWTON_MAX_ITER} "
             f"iterations for direction {bad.tolist()}"
         )
-    return out[1] * scale, out[0], iters, Jet2(*out[2:])
+    xi, lam, value, grad, hess = out
+    r = _kkt_residual(x / scale[:, None], lam, value, grad)[0]
+    d_xi, d_lam = _newton_step(lam, grad, hess, r)
+    xi = xi + d_xi
+    return (lam + d_lam) * scale, xi, iters + 1, spec.jet(xi)
 
 
 def _support_values(spec: NormSpec, x):

@@ -40,9 +40,9 @@ from .fields import (
     quadratic_field,
 )
 from .kelvin import (
+    TOL_DUALITY,
     KelvinContext,
     _inversion,
-    _path_tolerance,
     det_invariant,
     hat_transform,
     jacobian_matrix,
@@ -472,7 +472,6 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     identity per point as its row and the per-identity worst cases in
     `details`.
     """
-    tol = _path_tolerance(spec)
     dual = spec.dual()
     c1, c2 = equivalence_constants(spec)
     pts = plan.points(spec)
@@ -514,10 +513,10 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     worst = {name: float(np.max(rel[:, [nm == name for nm in names]]))
              for name in sorted(set(names))}
     best = np.argmax(rel, axis=1)
-    return ResidualReport(suite="identities", tolerance=tol,
+    return ResidualReport(suite="identities", tolerance=TOL_DUALITY,
                           rows=residual_rows(pts, lhs[idx, best], rhs[idx, best]),
                           details={**worst, "equivalence_constants": [c1, c2]},
-                          gates=[Gate(name, worst[name], tol) for name in worst])
+                          gates=[Gate(n, worst[n], TOL_DUALITY) for n in worst])
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +525,6 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
 
 def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     """Round trips, determinant lemma, and transport identities in one go."""
-    tol = _path_tolerance(spec)
     ctx = KelvinContext(spec)
     pts = plan.points(spec)
 
@@ -538,7 +536,7 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     err = np.maximum(e_fwd, e_bwd)
     zeros = np.zeros(len(pts))
     rows = ResidualRows(pts, zeros, zeros, err, err)
-    gates = [Gate("roundtrip", float(np.max(err)), tol)]
+    gates = [Gate("roundtrip", float(np.max(err)), TOL_DUALITY)]
 
     refl = float(np.max(np.abs(np.abs(reflection_determinant(pts)) - 1.0)))
     gates.append(Gate("reflection_determinant", refl, TOL_REFLECTION_DET))
@@ -551,7 +549,7 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     double = hat_transform(dual_ctx, hat_transform(ctx, probe))
     e_inv = np.max(np.abs(np.asarray(double(pts)) - np.asarray(probe(pts)))
                    / np.maximum(np.abs(np.asarray(probe(pts))), 1.0))
-    gates.append(Gate("pullback_involution", float(e_inv), tol))
+    gates.append(Gate("pullback_involution", float(e_inv), TOL_DUALITY))
 
     if spec.matrix is not None:
         detm = spec.matrix.det
@@ -563,12 +561,12 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
         d2 = jacobian_matrix(ctx, 2.0 * pts[:20])
         jac_scale = float(np.max(np.max(np.abs(d2 - d1 / 4.0), axis=(1, 2))
                                  / np.max(np.abs(d1), axis=(1, 2))))
-        gates.append(Gate("jacobian_scaling", jac_scale, tol))
+        gates.append(Gate("jacobian_scaling", jac_scale, TOL_DUALITY))
         gates += check_proof_identities(spec, plan).gates
         if ctx.dim >= 3:
             gates += check_fundamental_solution(spec, plan).gates
 
-    return ResidualReport(suite="kelvin", tolerance=tol, rows=rows,
+    return ResidualReport(suite="kelvin", tolerance=TOL_DUALITY, rows=rows,
                           details={g.name: g.value for g in gates}, gates=gates)
 
 

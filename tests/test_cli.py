@@ -1,6 +1,7 @@
 """Configuration parsing, exit codes, and report artifacts."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -230,6 +231,51 @@ def test_ill_conditioned_norm_exits_2_without_traceback(suite, package_env):
     named = "kelvin" if suite == "all" else suite
     assert proc.stderr.startswith(
         f"error: {named}: dual norm inconsistent with primal")
+
+
+# an unwritable status channel is an I/O error (exit 3), never a traceback
+# (exit 1 means "verification failed"); buffered and unbuffered streams fail
+# at different writes, so both are run
+STREAM_MODES = ("buffered", "unbuffered")
+
+
+def _stream_env(package_env, mode):
+    env = dict(package_env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if mode == "buffered" else dict(env, PYTHONUNBUFFERED="1")
+
+
+@pytest.mark.parametrize("mode", STREAM_MODES)
+def test_a_closed_stdout_pipe_exits_3_without_traceback(mode, package_env,
+                                                        tmp_path):
+    # `... --out r.json | head -0`: the status lines meet a pipe nobody reads
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "finslerkelvin", "all", "--norm",
+             "euclidean:3", "--count", "200", "--out", str(tmp_path / "r.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_stream_env(package_env, mode), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr.startswith("error: cannot write status lines:")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode", STREAM_MODES)
+def test_a_closed_stderr_exits_3_without_traceback(mode, package_env):
+    # `kelvin ... 2>&-`: with no --out the status lines go to stderr; a
+    # traceback would exit 1 and a failed flush at interpreter exit 120
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslerkelvin", "kelvin", "--norm",
+         "euclidean:3", "--count", "20"],
+        stdout=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(2),
+        env=_stream_env(package_env, mode), timeout=120)
+    assert proc.returncode == EXIT_IO
+    assert proc.stdout == ""
 
 
 def test_all_run_does_not_import_numpy_random(tmp_path, package_env):

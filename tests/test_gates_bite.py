@@ -11,6 +11,10 @@ when called:
 * D^2 T scaled: `kelvin.map_second_derivative` times 1 + eps.  Only the
   semilinear residuals see it; nlaplace's `quadratic,auto` rows, which also
   go through D^2 T, do not (a FOUND: line in CHANGES.md).
+* The quartic dual scaled: the Newton solve's maximum H° times 1 + eps.  At
+  eps = 1e-7 the identity suite's duality gates fail at their 1e-8 bound
+  and the `KelvinContext` self-check refuses the dual.  At 1e-9 every gate
+  passes (a FOUND: line in CHANGES.md).
 
 The pinned names record which gates catch each defect; the printed FAIL
 lines must name exactly the gates the reports hold as failing.
@@ -18,7 +22,10 @@ lines must name exactly the gates the reports hold as failing.
 
 import pytest
 
-from finslerkelvin import cli, kelvin, verify
+from finslerkelvin import cli, kelvin, norms, verify
+from finslerkelvin.kelvin import KelvinContext
+from finslerkelvin.norms import QuarticNorm
+from finslerkelvin.verify import SamplePlan, run_identity_suite
 
 from conftest import failed_gates
 
@@ -91,3 +98,25 @@ def test_a_planted_defect_fails_by_named_gates(mutant, monkeypatch, tmp_path,
     held = {rep.suite: [g.name for g in rep.gates if not g.ok]
             for rep in reports if not rep.passed}
     assert printed == held == caught
+
+
+def test_a_scaled_quartic_dual_fails_the_duality_gates(monkeypatch, tmp_path,
+                                                      capsys):
+    solve = norms._support_points
+
+    def scaled(spec, x):
+        lam, xi, iters, jet = solve(spec, x)
+        return lam * (1.0 + 1e-7), xi, iters, jet
+
+    monkeypatch.setattr(norms, "_support_points", scaled)
+    rep = run_identity_suite(QuarticNorm(), SamplePlan(count=1000, seed=100))
+    assert [g.name for g in rep.gates if not g.ok] == [
+        "bidual", "inverse_duality", "unit_duality"]
+    with pytest.raises(ValueError, match=r"duality defect 1\.000e-07"):
+        KelvinContext(QuarticNorm())
+    # the kelvin suite's context refuses the dual, so `all` stops with exit 2
+    # (an input the calculus cannot take), not exit 1
+    code = cli.main(["all", "--norm", "quartic", "--count", "50",
+                     "--out", str(tmp_path / "r.json")])
+    assert code == cli.EXIT_CONFIG
+    assert "kelvin: dual norm inconsistent" in capsys.readouterr().err

@@ -41,8 +41,8 @@ def contexts():
     ]
 
 
-def roundtrip_tol(ctx):
-    return 1e-8 if ctx.spec.matrix is not None else 1e-6
+# closed-form and Newton-dual paths share one round-trip bound
+ROUNDTRIP_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +132,8 @@ def test_roundtrip_on_wide_annulus(rng):
         fwd = kelvin_inverse(ctx, kelvin_map(ctx, pts))
         bwd = kelvin_map(ctx, kelvin_inverse(ctx, pts))
         scale = np.maximum(np.max(np.abs(pts), axis=1), 1.0)
-        tol = roundtrip_tol(ctx)
-        assert np.max(np.max(np.abs(fwd - pts), axis=1) / scale) <= tol
-        assert np.max(np.max(np.abs(bwd - pts), axis=1) / scale) <= tol
+        assert np.max(np.max(np.abs(fwd - pts), axis=1) / scale) <= ROUNDTRIP_TOL
+        assert np.max(np.max(np.abs(bwd - pts), axis=1) / scale) <= ROUNDTRIP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +296,8 @@ def test_star_involution(rng):
         ctx = KelvinContext(spec)
         dual_ctx = KelvinContext(spec.dual())
         double = star_transform(dual_ctx, star_transform(ctx, u))
-        tol = 1e-8 if spec.matrix is not None else 1e-6
         for x in annulus_points(rng, 2, count=100):
-            assert abs(double(x) - u(x)) <= tol * max(1.0, abs(u(x)))
+            assert abs(double(x) - u(x)) <= ROUNDTRIP_TOL * max(1.0, abs(u(x)))
 
 
 def test_transform_chain_rule_jets_match_fd(rng):

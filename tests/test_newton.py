@@ -2,9 +2,10 @@
 
 `reference_support_point` is the one-direction-at-a-time loop that
 `norms._support_points` replaced: same warm start, KKT tolerance, 20-halving
-damping and failure message, with the Newton step of `norms._newton_step`
-taken on a one-row batch.  The batched solve must take exactly as many
-iterations per direction and land on the same maximum, bit for bit.
+damping, final full polishing step and failure message, with the Newton
+step of `norms._newton_step` taken on a one-row batch.  The batched solve
+must take exactly as many iterations per direction and land on the same
+maximum, bit for bit.
 """
 
 import re
@@ -24,7 +25,8 @@ QUARTIC_PLAN = SamplePlan(count=1000, seed=100)
 
 
 def reference_support_point(spec, x):
-    """Maximize <xi, x> over {H(xi) = 1} for one direction; (lam, xi, its)."""
+    """Maximize <xi, x> over {H(xi) = 1} for one direction; (lam, xi, its)
+    after the stop and one undamped polishing step, which `its` counts."""
     scale = float(np.sqrt(x @ x))
     xh = x / scale
     xi = xh / float(spec.value(xh))
@@ -37,14 +39,15 @@ def reference_support_point(spec, x):
     resid = residual(xi, lam, j)
     for it in range(norms.NEWTON_MAX_ITER):
         rnorm = float(np.max(np.abs(resid)))
-        if rnorm <= norms.NEWTON_KKT_TOL:
-            return lam * scale, xi, it
         d_xi, d_lam = norms._newton_step(np.array([lam]), j.gradient[None],
                                          j.hessian[None], resid[None])
+        d_xi, d_lam = d_xi[0], d_lam[0]
+        if rnorm <= norms.NEWTON_KKT_TOL:
+            return (lam + d_lam) * scale, xi + d_xi, it + 1
         t = 1.0
         for _ in range(20):
-            xi_try = xi + t * d_xi[0]
-            lam_try = lam + t * d_lam[0]
+            xi_try = xi + t * d_xi
+            lam_try = lam + t * d_lam
             if np.any(xi_try != 0.0):
                 j_try = spec.jet(xi_try)
                 r_try = residual(xi_try, lam_try, j_try)
@@ -168,7 +171,7 @@ def test_dual_jet_value_and_gradient_are_the_solve_bits():
 def test_dual_jet_takes_the_primal_jet_from_its_one_solve(monkeypatch):
     pts = QUARTIC_PLAN.points(QuarticNorm())[:20]
     _, xi, _, pj = norms._support_points(QuarticNorm(), pts)
-    # the returned jet is H's at each row's last accepted iterate
+    # the returned jet is H's at each row's polished point
     final = QuarticNorm().jet(xi)
     for got, want in zip((pj.value, pj.gradient, pj.hessian),
                          (final.value, final.gradient, final.hessian)):

@@ -121,11 +121,10 @@ def _quartic_worst(module, points):
 
 def test_quartic_dual_matches_the_40_digit_kkt_solve(oracle_error):
     # the decimal Newton solve and its Gaussian elimination are the
-    # independent check of the closed-form Newton step and dual Hessian;
-    # the floor is NEWTON_KKT_TOL, not the rounding of the last step
+    # independent check of the closed-form Newton step and dual Hessian
     points = QUARTIC_PLAN.points(QuarticNorm())[::20]
     assert len(points) == 50
-    assert max(_quartic_worst(oracle_error, points).values()) < 1e-11
+    assert max(_quartic_worst(oracle_error, points).values()) < 1e-14
 
 
 def test_the_kkt_oracle_sees_a_dual_hessian_off_by_1e_9(oracle_error,
@@ -138,8 +137,8 @@ def test_the_kkt_oracle_sees_a_dual_hessian_off_by_1e_9(oracle_error,
 
     monkeypatch.setattr(NumericDualNorm, "jet", scaled)
     worst = _quartic_worst(oracle_error, QUARTIC_PLAN.points(QuarticNorm())[::20])
-    assert worst.pop("D2H°") > 1e-11
-    assert max(worst.values()) < 1e-11
+    assert worst.pop("D2H°") > 1e-14
+    assert max(worst.values()) < 1e-14
 
 
 def test_a_quartic_report_gets_the_dual_section(oracle_error, tmp_path):
@@ -151,7 +150,7 @@ def test_a_quartic_report_gets_the_dual_section(oracle_error, tmp_path):
     plan = SamplePlan(count=30, seed=3).points(QuarticNorm()).tolist()
     for errs, where in errors.values():
         assert len(errs) == 30 and [w[2] for w in where] == plan
-        assert max(errs) < 1e-11 / oracle_error.EPS
+        assert max(errs) < 1e-14 / oracle_error.EPS
 
     buf = io.StringIO()
     with redirect_stdout(buf):
