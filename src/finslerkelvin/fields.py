@@ -111,14 +111,7 @@ class ScalarField:
         jet = None
         if self.has_jet and other.has_jet:
             def jet(x, a=self, b=other):
-                ja, jb = a.jet(x), b.jet(x)
-                va, vb = np.asarray(ja.value), np.asarray(jb.value)
-                grad = vb[..., None] * ja.gradient + va[..., None] * jb.gradient
-                cross = row_outer(ja.gradient, jb.gradient)
-                hess = (vb[..., None, None] * ja.hessian
-                        + va[..., None, None] * jb.hessian
-                        + cross + np.swapaxes(cross, -1, -2))
-                return _jet(va * vb, grad, hess)
+                return _product_jet(a.jet(x), b.jet(x))
         return ScalarField(
             self.dim,
             lambda pts: self._evaluate(pts) * other._evaluate(pts),
@@ -127,6 +120,17 @@ class ScalarField:
         )
 
     __rmul__ = __mul__
+
+
+def _product_jet(ja: Jet2, jb: Jet2) -> Jet2:
+    """The product rule: the jet of a*b from the jets of a and b."""
+    va, vb = np.asarray(ja.value), np.asarray(jb.value)
+    grad = vb[..., None] * ja.gradient + va[..., None] * jb.gradient
+    cross = row_outer(ja.gradient, jb.gradient)
+    hess = (vb[..., None, None] * ja.hessian
+            + va[..., None, None] * jb.hessian
+            + cross + np.swapaxes(cross, -1, -2))
+    return _jet(va * vb, grad, hess)
 
 
 def _coerce(obj, dim) -> ScalarField:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ScalarField, norm_power_field
+from .fields import ScalarField, _product_jet, norm_power_field
 from .norms import (Jet2, NormSpec, _unbox, quadratic_form, row_dot,
                     row_matvec, row_outer)
 from .operators import numeric_jet
@@ -209,8 +209,9 @@ def map_second_derivative(ctx: KelvinContext, x) -> np.ndarray:
     return -2.0 * (s * s) * terms + 8.0 * (s * s * s) * (k * i * j)
 
 
-def _pullback_jet(ctx: KelvinContext, u: ScalarField, y: np.ndarray) -> Jet2:
-    """Chain-rule jet of u(T(y)) for quadratic-form contexts.
+def _pullback_jet(ctx: KelvinContext, us, y: np.ndarray) -> list[Jet2]:
+    """Chain-rule jets of u(T(y)), one per field u of `us`, for quadratic-form
+    contexts; T, DT and D^2T are evaluated once for all the fields.
 
     DT^T grad u and DT^T D^2u DT are stacked matrix products, one BLAS call
     per row as for one point.  The curvature term sum_k (grad u)_k D^2 T_k
@@ -222,12 +223,21 @@ def _pullback_jet(ctx: KelvinContext, u: ScalarField, y: np.ndarray) -> Jet2:
     y = np.asarray(y, dtype=float)
     dt = jacobian_matrix(ctx, y)
     d2t = map_second_derivative(ctx, y)
-    uj = u.jet(kelvin_map(ctx, y))
+    t = kelvin_map(ctx, y)
     dtt = np.swapaxes(dt, -1, -2)
-    grad = row_matvec(dtt, uj.gradient)
-    hess = (dtt @ uj.hessian @ dt
-            + np.einsum("...k,...kij->...ij", uj.gradient, d2t))
-    return Jet2(uj.value, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
+
+    def chain(uj):
+        hess = (dtt @ uj.hessian @ dt
+                + np.einsum("...k,...kij->...ij", uj.gradient, d2t))
+        return Jet2(uj.value, row_matvec(dtt, uj.gradient),
+                    0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    return [chain(u.jet(t)) for u in us]
+
+
+def _hat_jets(ctx: KelvinContext, us, y: np.ndarray) -> list[Jet2]:
+    """Jets of H(y)^(2-N) u(T(y)) for each u of `us`, by the product rule."""
+    weight = norm_power_field(ctx.spec, 2.0 - ctx.dim).jet(y)
+    return [_product_jet(weight, j) for j in _pullback_jet(ctx, us, y)]
 
 
 def _numeric_jet_field(dim: int, evaluate, name: str) -> ScalarField:
@@ -252,26 +262,29 @@ def star_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
     name = f"star({u.name})"
     if u.has_jet and ctx.spec.matrix is not None:
         return ScalarField(ctx.dim, evaluate, name=name,
-                           jet=lambda y: _pullback_jet(ctx, u, y))
+                           jet=lambda y: _pullback_jet(ctx, [u], y)[0])
     return _numeric_jet_field(ctx.dim, evaluate, name)
 
 
 def hat_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
     """Weighted pullback y -> H(y)^(2-N) u(T(y)).
 
-    In the plane the weight is 1 and hat and star coincide.  The jet is the
-    exact product rule applied to the weight's norm-power jet and the
-    pullback's chain-rule jet whenever both are analytic.
+    In the plane the weight is 1 and hat and star coincide.  The jet is
+    ``_hat_jets`` of u alone, the exact product rule of the weight's and the
+    pullback's jets, whenever both are analytic.
     """
     if u.dim != ctx.dim:
         raise ValueError("field dimension does not match the context")
+    name = f"hat({u.name})"
     if u.has_jet and ctx.spec.matrix is not None:
-        out = norm_power_field(ctx.spec, 2.0 - ctx.dim) * star_transform(ctx, u)
-        out.name = f"hat({u.name})"
-        return out
+        def weighted(pts):
+            weight = np.asarray(ctx.spec.value(pts)) ** (2.0 - ctx.dim)
+            return weight * u(kelvin_map(ctx, pts))
+        return ScalarField(ctx.dim, weighted, name=name,
+                           jet=lambda y: _hat_jets(ctx, [u], y)[0])
 
     def evaluate(pts):
         h, t = _inversion(ctx.spec, pts)
         return h ** (2.0 - ctx.dim) * u(t)
 
-    return _numeric_jet_field(ctx.dim, evaluate, f"hat({u.name})")
+    return _numeric_jet_field(ctx.dim, evaluate, name)

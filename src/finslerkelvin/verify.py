@@ -26,6 +26,7 @@ and every identity above becomes a computable residual with no unknowns.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from .fields import (
 from .kelvin import (
     TOL_DUALITY,
     KelvinContext,
+    _hat_jets,
     _inversion,
     det_invariant,
     hat_transform,
@@ -338,30 +340,43 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
     (f o T)(y) / H(y)^(N+2).  Jets are analytic chain-rule jets unless
     `jet_mode="numeric"` forces the finite-difference builder.
     """
+    return _check_semilinear(ctx, [prob], plan, jet_mode, convergence)[0]
+
+
+def _check_semilinear(ctx: KelvinContext, probs, plan: SamplePlan,
+                      jet_mode: str = "auto", convergence: bool = False):
+    """``check_theorem_semilinear`` of each problem (the fit is the first's);
+    analytic jets share one ``kelvin._hat_jets`` pass per `_JET_BLOCK` rows."""
     _require_quadratic_form(ctx.spec, "the semilinear transform theorem")
-    uhat = hat_transform(ctx, prob.u)
     pts = plan.points(ctx.spec)
-    n = ctx.dim
     h, t = _inversion(ctx.spec, pts)
-    rhs_vals = np.asarray(prob.f(t)) / h ** (n + 2)
 
     def lhs_of(jet):
         return -anisotropic_laplacian(ctx.dual, jet)
 
-    lhs_vals = np.hstack([lhs_of(jet) for jet in _jets(uhat, pts, jet_mode)])
-    rows = residual_rows(pts, lhs_vals, rhs_vals)
-    report = ResidualReport(suite="theorem-semilinear", tolerance=TOL_SEMILINEAR,
-                            rows=rows,
-                            details={"family": prob.family,
-                                     "jet_mode": jet_mode})
-    report.gates.append(Gate("max_rel", report.max_rel_residual(), TOL_SEMILINEAR))
-    if convergence:
-        sel = np.argsort(-row_dot(pts, pts))[:5]
-        report.convergence = _convergence_study(uhat, lhs_of, rhs_vals[sel],
-                                                pts[sel])
-        report.gates.append(Gate("fd_order", report.convergence["order"],
-                                 MIN_FD_ORDER, ">="))
-    return report
+    if jet_mode == "numeric" or not all(prob.u.has_jet for prob in probs):
+        columns = [[lhs_of(jet) for jet in
+                    _jets(hat_transform(ctx, prob.u), pts, jet_mode)] for prob in probs]
+    else:
+        us = [prob.u for prob in probs]
+        blocks = (pts[k:k + _JET_BLOCK] for k in range(0, len(pts), _JET_BLOCK))
+        columns = zip(*([lhs_of(jet) for jet in _hat_jets(ctx, us, b)]
+                        for b in blocks))
+    reports = []
+    for prob, column in zip(probs, columns):
+        rhs_vals = np.asarray(prob.f(t)) / h ** (ctx.dim + 2)
+        report = ResidualReport(suite="theorem-semilinear", tolerance=TOL_SEMILINEAR,
+                                rows=residual_rows(pts, np.hstack(column), rhs_vals),
+                                details={"family": prob.family, "jet_mode": jet_mode})
+        report.gates.append(Gate("max_rel", report.max_rel_residual(), TOL_SEMILINEAR))
+        if convergence and not reports:
+            sel = np.argsort(-row_dot(pts, pts))[:5]
+            report.convergence = _convergence_study(
+                hat_transform(ctx, prob.u), lhs_of, rhs_vals[sel], pts[sel])
+            report.gates.append(Gate("fd_order", report.convergence["order"],
+                                     MIN_FD_ORDER, ">="))
+        reports.append(report)
+    return reports
 
 
 def check_theorem_nlaplace(ctx: KelvinContext, u: ScalarField, g: ScalarField,
@@ -617,15 +632,21 @@ def run_counterexample_scan(spec: NormSpec | None = None) -> ResidualReport:
 
 
 def _bump(points: np.ndarray, center: np.ndarray, radius: float):
-    """C^2 compactly supported bump (1 - |y-c|^2/r^2)^3 and its gradient."""
+    """The points where the C^2 bump (1 - |y-c|^2/r^2)^3 is nonzero, and its
+    value and gradient there; both are exactly 0 at every other point."""
     d = points - center
     s = np.sum(d * d, axis=-1) / radius**2
     inside = s < 1.0
-    base = np.where(inside, 1.0 - s, 0.0)
-    psi = base**3
-    dpsi = (-6.0 / radius**2) * base[:, None] ** 2 * d
-    dpsi[~inside] = 0.0
-    return psi, dpsi
+    base = 1.0 - s[inside]
+    return points[inside], base**3, (-6.0 / radius**2) * base[:, None] ** 2 * d[inside]
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """``math.fsum``, or ``np.sum``'s NaN or inf where no finite sum exists."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):  # inf - inf, or an overflowing total
+        return float(np.sum(terms))
 
 
 def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
@@ -636,6 +657,10 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
     plain finite differences of composed *values*.  Nothing here touches the
     chain-rule jets, so it is an independent route to the same theorem;
     accuracy is quadrature-limited.
+
+    Only mesh points inside the bump's support are evaluated.  The sums are
+    exact (``math.fsum``), so the exact-zero terms dropped move no bit; a box
+    whose terms have no finite sum gets a NaN error, as with ``np.sum``.
     """
     _require_quadratic_form(ctx.spec, "the weak-form cross-check")
     n = ctx.dim
@@ -657,18 +682,14 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
 
     errors = []
     for c in centers:
-        pts = mesh + c
-        psi, dpsi = _bump(pts, c, _BUMP_RADIUS)
-        p = np.empty_like(pts)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = _WEAK_FD_STEP
-            p[:, i] = (ustar(pts + e) - ustar(pts - e)) / (2.0 * _WEAK_FD_STEP)
+        pts, psi, dpsi = _bump(mesh + c, c, _BUMP_RADIUS)
+        p = np.stack([(ustar(pts + e) - ustar(pts - e)) / (2.0 * _WEAK_FD_STEP)
+                      for e in _WEAK_FD_STEP * np.eye(n)], axis=-1)
         hy, t = _inversion(ctx.spec, pts)
         hdual, gdual = ctx.dual.value_gradient(p)
-        lhs = float(np.sum(hy ** (4 - 2 * n) * hdual
-                           * np.sum(gdual * dpsi, axis=-1)) * cell)
-        rhs = float(np.sum(hy ** (-2 * n) * prob.f(t) * psi) * cell)
+        lhs = _exact_sum(hy ** (4 - 2 * n) * hdual
+                         * np.sum(gdual * dpsi, axis=-1)) * cell
+        rhs = _exact_sum(hy ** (-2 * n) * prob.f(t) * psi) * cell
         errors.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return {
         "box_errors": errors,
@@ -687,19 +708,12 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     families, a numeric-jet convergence fit, the weak-form quadrature
     cross-check, and the transformed-source round trip."""
     ctx = KelvinContext(spec)
-    blocks = []
-    gates: list[Gate] = []
-    convergence = None
-    for family in ("quadratic", "gaussian-bump"):
-        prob = manufacture_semilinear(spec, family)
-        rep = check_theorem_semilinear(ctx, prob, plan,
-                                       convergence=(family == "quadratic"))
-        blocks.append(rep.rows)
-        gates += _tagged(rep.gates, family)
-        if rep.convergence is not None:
-            convergence = rep.convergence
-
-    # `prob` is the gaussian-bump problem of the loop's last pass
+    probs = [manufacture_semilinear(spec, family)
+             for family in ("quadratic", "gaussian-bump")]
+    reps = _check_semilinear(ctx, probs, plan, convergence=True)
+    gates = [g for prob, rep in zip(probs, reps)
+             for g in _tagged(rep.gates, prob.family)]
+    prob = probs[-1]  # gaussian-bump
     gates.append(Gate("weak_form_worst", weak_form_crosscheck(ctx, prob)["worst"],
                       TOL_QUADRATURE))
 
@@ -717,8 +731,9 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     # the fitted order is reported under "convergence", every other gate in details
     details = {g.name: g.value for g in gates if not g.name.startswith("fd_order")}
     return ResidualReport(suite="semilinear", tolerance=TOL_SEMILINEAR,
-                          rows=ResidualRows.concat(blocks), details=details,
-                          convergence=convergence, gates=gates)
+                          rows=ResidualRows.concat([rep.rows for rep in reps]),
+                          details=details, convergence=reps[0].convergence,
+                          gates=gates)
 
 
 def run_nlaplace_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:

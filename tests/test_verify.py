@@ -220,6 +220,23 @@ def test_semilinear_requires_quadratic_form_norm():
         check_theorem_semilinear(ctx, prob, SamplePlan())
 
 
+@pytest.mark.parametrize("spec", [
+    EuclideanNorm(3), RiemannianNorm(random_spd_matrix(4, 0))],
+    ids=["euclidean:3", "random_spd_matrix(4,0)"])
+def test_the_shared_semilinear_pass_gives_the_per_family_rows(spec):
+    # 2,500 points cross the analytic jets' 1,024-row blocks
+    plan = SamplePlan(count=2500, seed=100)
+    ctx = KelvinContext(spec)
+    suite = run_semilinear_suite(spec, plan)
+    single = [check_theorem_semilinear(ctx, manufacture_semilinear(spec, family),
+                                       plan, convergence=(family == "quadratic"))
+              for family in ("quadratic", "gaussian-bump")]
+    for column in ("points", "lhs", "rhs", "abs_residual", "rel_residual", "flags"):
+        joined = np.concatenate([getattr(rep.rows, column) for rep in single])
+        assert getattr(suite.rows, column).tobytes() == joined.tobytes(), column
+    assert suite.convergence == single[0].convergence
+
+
 # ---------------------------------------------------------------------------
 # quasilinear theorem
 
@@ -462,6 +479,30 @@ def test_weak_form_crosscheck_refuses_a_mesh_above_its_limit(monkeypatch):
         weak_form_crosscheck(KelvinContext(spec), prob)
 
 
+@pytest.mark.parametrize("spec", [
+    EuclideanNorm(3), EuclideanNorm(4),
+    RiemannianNorm(random_spd_matrix(3, 2)), RiemannianNorm(random_spd_matrix(4, 0)),
+], ids=["euclidean:3", "euclidean:4", "random_spd_matrix(3,2)",
+        "random_spd_matrix(4,0)"])
+def test_the_weak_form_support_gives_the_full_box_bit_for_bit(spec, monkeypatch):
+    ctx = KelvinContext(spec)
+    prob = manufacture_semilinear(spec, "gaussian-bump")
+    support = weak_form_crosscheck(ctx, prob)["box_errors"]
+
+    def full_box(points, center, radius):
+        # the bump at every mesh point, exactly 0 off its support
+        d = points - center
+        s = np.sum(d * d, axis=-1) / radius**2
+        base = np.where(s < 1.0, 1.0 - s, 0.0)
+        dpsi = (-6.0 / radius**2) * base[:, None] ** 2 * d
+        dpsi[s >= 1.0] = 0.0
+        return points, base**3, dpsi
+
+    monkeypatch.setattr(verify, "_bump", full_box)
+    full = weak_form_crosscheck(ctx, prob)["box_errors"]
+    assert [x.hex() for x in support] == [x.hex() for x in full]
+
+
 def test_double_kelvin_source_roundtrip():
     # the dual problem's source, pulled back through the dual map, is f again
     spec = RiemannianNorm(random_spd_matrix(3, seed=9))
@@ -550,6 +591,43 @@ def test_a_nan_box_fails_the_weak_form_crosscheck(monkeypatch):
     assert math.isnan(quad["box_errors"][3])
     assert math.isnan(quad["worst"])
     # the semilinear suite names the gate the NaN fails
+    crosscheck = verify.weak_form_crosscheck
+
+    def planted(ctx, _):
+        calls.clear()
+        return crosscheck(ctx, bad)
+
+    monkeypatch.setattr(verify, "weak_form_crosscheck", planted)
+    rep = run_semilinear_suite(spec, SamplePlan(count=10))
+    assert math.isnan(rep.details["weak_form_worst"])
+    assert [g.name for g in rep.gates if not g.ok] == ["weak_form_worst"]
+
+
+# ±inf source terms (math.fsum raises ValueError) and an overflowing total
+# (math.fsum raises OverflowError) give np.sum's NaN or inf, as a NaN does
+NONFINITE_SOURCES = {
+    "inf-and-minus-inf": lambda out: np.where(np.arange(len(out)) % 2,
+                                              np.inf, -np.inf),
+    "overflowing-total": lambda out: np.full_like(out, 1e308),
+}
+
+
+@pytest.mark.parametrize("plant", NONFINITE_SOURCES)
+def test_a_box_without_a_finite_sum_fails_the_weak_form_crosscheck(plant,
+                                                                   monkeypatch):
+    spec = EuclideanNorm(3)
+    prob = manufacture_semilinear(spec, "gaussian-bump")
+    calls = []
+
+    def source(pts):
+        calls.append(len(pts))
+        out = np.array(prob.f(pts), dtype=float)
+        return NONFINITE_SOURCES[plant](out) if len(calls) == 4 else out
+
+    bad = ManufacturedProblem(prob.u, ScalarField(3, source), prob.family)
+    quad = weak_form_crosscheck(KelvinContext(spec), bad)
+    assert not any(map(math.isnan, quad["box_errors"][:3]))
+    assert math.isnan(quad["box_errors"][3])
     crosscheck = verify.weak_form_crosscheck
 
     def planted(ctx, _):
