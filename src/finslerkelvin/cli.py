@@ -25,6 +25,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
+from . import __version__ as VERSION
 from .norms import ConvergenceError, NormSpec, parse_norm
 from .report import REPORT_SCHEMA, ResidualReport, render_csv, render_json, render_table
 from .sampling import MAX_DIM
@@ -37,13 +38,6 @@ from .verify import (
     run_nlaplace_suite,
     run_semilinear_suite,
 )
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("finslerkelvin")
-except Exception:  # pragma: no cover - editable/dev fallback
-    VERSION = "0.1.0"
 
 # suite -> runner(spec, plan), in `all` order.  Runners look suites up by name
 # when called, so a wrapper rebound over the name (a profiler's) sees the call.

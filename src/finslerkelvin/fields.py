@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import Jet2, NormSpec, _jet, _unbox, quadratic_form, row_dot, row_outer
+from .norms import (Jet2, NormSpec, _jet, _unbox, quadratic_form, row_dot,
+                    row_outer, row_sum)
 
 __all__ = [
     "ScalarField",
@@ -194,7 +195,7 @@ def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
     cv = np.zeros(dim) if c is None else np.asarray(c, dtype=float)
 
     def evaluate(pts):
-        return (np.sum(a * pts**3, axis=-1)
+        return (row_sum(a * pts**3)
                 + np.einsum("...i,ij,...j->...", pts, bm, pts) + pts @ cv)
 
     diag = np.arange(dim)
@@ -202,7 +203,7 @@ def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
     def jet(x):
         x2 = x * x
         bx, xbx = quadratic_form(bm, x)
-        value = np.sum(a * (x2 * x), axis=-1) + xbx + row_dot(x, cv)
+        value = row_sum(a * (x2 * x)) + xbx + row_dot(x, cv)
         hess = np.broadcast_to(2.0 * bm, x.shape + (dim,)).copy()
         hess[..., diag, diag] += 6.0 * a * x
         return _jet(value, 3.0 * a * x2 + 2.0 * bx + cv, hess)
@@ -219,7 +220,7 @@ def gaussian_field(center, width=1.0, amplitude=1.0, name=None) -> ScalarField:
 
     def evaluate(pts):
         d = pts - center
-        return amp * np.exp(-np.sum(d * d, axis=-1) / w2)
+        return amp * np.exp(-row_sum(d * d) / w2)
 
     def jet(x):
         d = x - center

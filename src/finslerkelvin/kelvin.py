@@ -41,8 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, _product_jet, norm_power_field
-from .norms import (Jet2, NormSpec, _unbox, quadratic_form, row_dot,
-                    row_matvec, row_outer)
+from .norms import (Jet2, NormSpec, _unbox, nonzero_rows, quadratic_form,
+                    row_dot, row_matvec, row_outer)
 from .operators import numeric_jet
 from .sampling import cube_directions
 
@@ -97,7 +97,7 @@ class KelvinContext:
 def _inversion(spec: NormSpec, x):
     """(H(x), T(x)) of `spec` from one norm evaluation, refusing H = 0."""
     pts = np.asarray(x, dtype=float)
-    if not pts.any(axis=-1).all():
+    if not nonzero_rows(pts).all():
         raise ValueError("inversion map is undefined at the origin")
     with np.errstate(divide="ignore", invalid="ignore"):
         h, grad = spec.value_gradient(pts)

@@ -159,6 +159,27 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1)`` bit for bit, one column at a time.
+
+    Below 8 columns numpy adds each row left to right, starting from +0.0
+    (so a row of -0.0 sums to +0.0), in a separate inner loop per row;
+    adding whole columns in that order rounds alike in one loop per column.
+    From 8 columns numpy sums pairwise, so the sum there is numpy's own.
+    """
+    if a.shape[-1] >= 8:
+        return np.sum(a, axis=-1)
+    return functools.reduce(np.add, (a[..., i] for i in range(a.shape[-1])), 0.0)
+
+
+def nonzero_rows(a: np.ndarray) -> np.ndarray:
+    """``a.any(axis=-1)`` one column at a time: rows with an entry != 0
+    (NaN included, -0.0 not)."""
+    nonzero = a != 0.0
+    return functools.reduce(np.logical_or,
+                            (nonzero[..., i] for i in range(a.shape[-1])))
+
+
 def row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (x) b over the last axis: (..., d) x (..., d) -> (..., d, d)."""
     return a[..., :, None] * b[..., None, :]
@@ -218,7 +239,7 @@ class NormSpec:
 
     def jet(self, x) -> Jet2:
         pts = _as_points(x, self.dim)
-        if not pts.any(axis=-1).all():
+        if not nonzero_rows(pts).all():
             raise ValueError("norm is not differentiable at the origin")
         return _jet(*self._eval(pts, 2))
 
@@ -287,11 +308,11 @@ class EuclideanNorm(NormSpec):
         self.matrix = SpdMatrix(np.eye(dim))
 
     def _eval(self, pts, order):
-        # <x, x> rounds two ways: np.sum at orders 0-1, row_dot at 2, so
-        # ``value`` and ``jet`` can differ in the last bit (the CHANGES.md
-        # FOUND: line on `EuclideanNorm.value` against `jet`)
+        # <x, x> rounds two ways: row_sum (np.sum's order) at orders 0-1,
+        # row_dot at 2, so ``value`` and ``jet`` can differ in the last bit
+        # (the CHANGES.md FOUND: line on `EuclideanNorm.value` against `jet`)
         if order < 2:
-            h = np.sqrt(np.sum(pts * pts, axis=-1))
+            h = np.sqrt(row_sum(pts * pts))
             return h if order == 0 else (h, pts / h[..., None])
         h = np.sqrt(row_dot(pts, pts))
         grad = pts / h[..., None]
@@ -458,7 +479,7 @@ def _support_points(spec: NormSpec, x: np.ndarray):
             xi_try = xi[sel] + t * d_xi[sel]
             lam_try = lam[sel] + t * d_lam[sel]
             # a trial point at the origin has no jet and is not taken
-            nonzero = np.any(xi_try != 0.0, axis=1)
+            nonzero = nonzero_rows(xi_try)
             if nonzero.any():
                 live = slice(None) if nonzero.all() else nonzero
                 j = spec.jet(xi_try[live])
@@ -495,7 +516,7 @@ def _support_values(spec: NormSpec, x):
     pts = _as_points(x, spec.dim)
     flat = pts.reshape(-1, spec.dim)
     out = np.zeros(flat.shape[0])
-    nonzero = np.any(flat != 0.0, axis=1)
+    nonzero = nonzero_rows(flat)
     out[nonzero] = _support_points(spec, flat[nonzero])[0]
     return _unbox(out.reshape(pts.shape[:-1]))
 
@@ -527,7 +548,7 @@ def equivalence_constants(spec: NormSpec) -> tuple[float, float]:
         c1, c2 = h_of(tmin), h_of(tmax)
 
     dirs = cube_directions(1000, spec.dim, skip=17)
-    lens = np.sqrt(np.sum(dirs * dirs, axis=-1))
+    lens = np.sqrt(row_sum(dirs * dirs))
     ratio = np.asarray(spec.value(dirs)) / lens
     slack = 1e-10
     if np.any(ratio < c1 * (1.0 - slack)) or np.any(ratio > c2 * (1.0 + slack)):

@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import ScalarField
-from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, quadratic_form,
-                    row_dot, row_outer)
+from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, nonzero_rows,
+                    quadratic_form, row_dot, row_outer)
 
 __all__ = [
     "NumericJet",
@@ -218,7 +218,7 @@ def anisotropic_laplacian(spec: NormSpec, jet: Jet2):
     if spec.matrix is not None:
         return _unbox(_contract(spec.matrix.entries, hess))
     grad = np.asarray(jet.gradient, dtype=float)
-    if not grad.any(axis=-1).all():
+    if not nonzero_rows(grad).all():
         raise ValueError("operator coefficient undefined at a zero gradient "
                          "for non-quadratic norms")
     return _unbox(_contract(_coefficient_matrix(spec, grad), hess))

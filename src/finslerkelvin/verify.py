@@ -61,6 +61,7 @@ from .norms import (
     equivalence_constants,
     row_dot,
     row_matvec,
+    row_sum,
 )
 from .operators import (
     anisotropic_laplacian,
@@ -605,7 +606,7 @@ def run_counterexample_scan(spec: NormSpec | None = None) -> ResidualReport:
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     else:
         dirs = cube_directions(_SCAN_DIRECTIONS, spec.dim, skip=7)
-        dirs /= np.sqrt(np.sum(dirs * dirs, axis=-1))[:, None]
+        dirs /= np.sqrt(row_sum(dirs * dirs))[:, None]
     vals = det_invariant(ctx, dirs)
     spread = float((vals.max() - vals.min()) / vals.min())
     scale_defect = float(np.max(np.abs(det_invariant(ctx, 2.0 * dirs) - vals) / vals))
@@ -635,7 +636,7 @@ def _bump(points: np.ndarray, center: np.ndarray, radius: float):
     """The points where the C^2 bump (1 - |y-c|^2/r^2)^3 is nonzero, and its
     value and gradient there; both are exactly 0 at every other point."""
     d = points - center
-    s = np.sum(d * d, axis=-1) / radius**2
+    s = row_sum(d * d) / radius**2
     inside = s < 1.0
     base = 1.0 - s[inside]
     return points[inside], base**3, (-6.0 / radius**2) * base[:, None] ** 2 * d[inside]
@@ -644,7 +645,7 @@ def _bump(points: np.ndarray, center: np.ndarray, radius: float):
 def _exact_sum(terms: np.ndarray) -> float:
     """``math.fsum``, or ``np.sum``'s NaN or inf where no finite sum exists."""
     try:
-        return math.fsum(terms)
+        return math.fsum(terms.tolist())
     except (ValueError, OverflowError):  # inf - inf, or an overflowing total
         return float(np.sum(terms))
 
@@ -688,7 +689,7 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
         hy, t = _inversion(ctx.spec, pts)
         hdual, gdual = ctx.dual.value_gradient(p)
         lhs = _exact_sum(hy ** (4 - 2 * n) * hdual
-                         * np.sum(gdual * dpsi, axis=-1)) * cell
+                         * row_sum(gdual * dpsi)) * cell
         rhs = _exact_sum(hy ** (-2 * n) * prob.f(t) * psi) * cell
         errors.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return {

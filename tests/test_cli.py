@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,3 +472,13 @@ def test_csv_cells_parse_and_theorem_residuals_are_exact(tmp_path, args, dim,
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "finslerkelvin" in capsys.readouterr().out
+
+
+def test_the_version_is_the_package_and_project_version(capsys):
+    import finslerkelvin
+
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert cli.VERSION == finslerkelvin.__version__ == project
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == "finslerkelvin 0.1.0\n"
