@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the report bytes of ten fixed CLI configurations.
+"""Print the SHA-256 of the report bytes of eleven fixed CLI configurations.
 
 A refactor that must not change any reported number runs this before and
 after the change and compares the two listings line by line.  Every
@@ -11,9 +11,11 @@ line on stderr) prints ``no report`` in place of the digest.
 The configurations are the three benchmark workloads at plan seed 100
 (``perfbench/run.py`` at workload seed 0), ``all --count 200`` on two
 Euclidean and two seed-pinned Riemannian norms and on the quartic norm (a
-second plan through the Newton dual), one table render, and one CSV render
+second plan through the Newton dual), one table render, one CSV render
 of ``all`` (several row blocks, with the planar counterexample rows padded
-to three point columns).
+to three point columns), and ``all --norm euclidean:8 --count 50``, the one
+configuration whose rows reach ``norms.row_sum``'s pairwise sum from 8
+columns (it exits 1: ``nlaplace``'s affine family FAILs from N = 7).
 
 ``--bench-seeds A-B`` lists the three benchmark workloads at each workload
 seed A..B instead, at their own point counts or at ``--count K``.  Their
@@ -90,6 +92,8 @@ def configurations() -> list[tuple[str, list[str]]]:
     configs.append(("all euclidean:3 --count 200 --format csv",
                     ["all", "--norm", "euclidean:3", "--count", "200",
                      "--format", "csv"]))
+    configs.append(("all euclidean:8 --count 50",
+                    ["all", "--norm", "euclidean:8", "--count", "50"]))
     return configs
 
 

@@ -59,7 +59,7 @@ EXIT_IO = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration; serializes losslessly."""
+    """Fully resolved run configuration."""
 
     norm: str = "euclidean:3"
     suite: str = "all"
@@ -69,10 +69,6 @@ class RunConfig:
     out: str | None = None
     format: str = "json"
     threads: int = 1
-
-    @property
-    def dim(self) -> int:
-        return self.spec().dim
 
     def spec(self) -> NormSpec:
         return parse_norm(self.norm)
@@ -86,7 +82,7 @@ class RunConfig:
         d = asdict(self)
         del d["out"], d["threads"]
         d["annulus"] = list(self.annulus)
-        return {"norm": d.pop("norm"), "dim": self.dim, **d}
+        return {"norm": d.pop("norm"), "dim": self.spec().dim, **d}
 
 
 def _parse_annulus(text: str) -> tuple[float, float]:
@@ -133,13 +129,8 @@ def _validate(config: RunConfig, dim_override: int | None) -> RunConfig:
     spec = config.spec()  # raises on malformed / non-SPD norms
     if dim_override is not None and dim_override != spec.dim:
         raise ValueError(f"dim={dim_override} conflicts with norm dimension {spec.dim}")
-    aliases = {"theorem-semilinear": "semilinear", "theorem-nlaplace": "nlaplace"}
-    if config.suite in aliases:
-        config = replace(config, suite=aliases[config.suite])
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}; choose from {SUITES}")
-    if config.format == "pretty-table":
-        config = replace(config, format="table")
     if config.format not in FORMATS:
         raise ValueError(f"unknown format {config.format!r}; choose from {FORMATS}")
     if config.threads < 1:
@@ -158,7 +149,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse the `key = value` config format (one pair per line, # comments).
 
     Unknown keys are errors.  The result is validated exactly like
-    command-line flags, so parse(serialize(config)) round-trips.
+    command-line flags.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -184,14 +175,6 @@ def parse_config(text: str) -> RunConfig:
                 raise ValueError(f"line {lineno}: {exc}") from None
     dim = values.pop("dim", None)
     return _validate(RunConfig(**values), dim)
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Config-file text that parses back to an equal RunConfig."""
-    values = asdict(config)
-    values["annulus"] = ",".join(map(repr, config.annulus))
-    return "".join(f"{key} = {val}\n" for key, val in values.items()
-                   if val is not None)
 
 
 def _skip_report(suite: str, reason: str) -> ResidualReport:

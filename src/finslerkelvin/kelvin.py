@@ -41,8 +41,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, _product_jet, norm_power_field
-from .norms import (Jet2, NormSpec, _unbox, nonzero_rows, quadratic_form,
-                    row_dot, row_matvec, row_outer)
+from .norms import (Jet2, NormSpec, _unbox, nonzero_rows, row_dot, row_matvec,
+                    row_outer)
 from .operators import numeric_jet
 from .sampling import cube_directions
 
@@ -118,12 +118,11 @@ def kelvin_inverse(ctx: KelvinContext, y):
 
 
 def _quadratic_form(ctx: KelvinContext, pts: np.ndarray):
-    """(M, Mx, <Mx, x>) per row, refusing a zero row."""
-    m = ctx.spec.matrix.entries
-    mx, h2 = quadratic_form(m, pts)
+    """(M, Mx, <Mx, x>) per row, from the spec's own form; refuses a zero row."""
+    mx, h2 = ctx.spec.form(pts)
     if np.any(h2 == 0.0):
         raise ValueError("inversion map is undefined at the origin")
-    return m, mx, h2
+    return ctx.spec.matrix.entries, mx, h2
 
 
 def jacobian_matrix(ctx: KelvinContext, x) -> np.ndarray:

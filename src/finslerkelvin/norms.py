@@ -5,10 +5,12 @@ A norm H here is positive away from the origin, absolutely 1-homogeneous
 Three families are built in:
 
 * ``RiemannianNorm``: H(x) = sqrt(<Mx, x>) for a symmetric positive-definite
-  matrix M.  All derivative and dual-norm formulas are closed form.
-* ``EuclideanNorm``: H(x) = |x|, mathematically ``RiemannianNorm(identity)``.
-  The class stays for a measured cost, not for its bytes: the matrix route
-  does d^2 work and makes more numpy calls per point.  Run as
+  matrix M.  All derivative and dual-norm formulas are closed form, built
+  from two methods that hold everything the other modules need from M:
+  ``form`` gives (Mx, <Mx, x>) and ``contract`` the sum of M_ij hess_ij.
+* ``EuclideanNorm``: H(x) = |x|, the M = I case of ``RiemannianNorm``.  It
+  overrides only ``form`` and ``contract``, for a measured cost: the matrix
+  route does d^2 work and makes more numpy calls per point.  Run as
   ``riemannian:`` the 3x3 identity, ``all --count 1000`` took a median 22-28%
   more CPU time than ``euclidean:3`` (three sets of 40 alternating in-process
   pairs on a 2-vCPU VM, slower in 35-39 of each 40).
@@ -91,7 +93,7 @@ class SpdMatrix:
     The input is symmetrized exactly as (A + A^T)/2 and validated by a
     Cholesky factorization; construction fails for anything that is not
     positive definite.  Inverse, determinant, and extreme eigenvalues are
-    computed once here so instances are immutable and safe to share.
+    computed once here, so instances are immutable.
     """
 
     def __init__(self, entries):
@@ -165,11 +167,19 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     Below 8 columns numpy adds each row left to right, starting from +0.0
     (so a row of -0.0 sums to +0.0), in a separate inner loop per row;
     adding whole columns in that order rounds alike in one loop per column.
-    From 8 columns numpy sums pairwise, so the sum there is numpy's own.
+    From 8 columns numpy sums each row pairwise, the sum here too; a copy in
+    C order keeps a Fortran-ordered batch from being summed by columns.
     """
     if a.shape[-1] >= 8:
-        return np.sum(a, axis=-1)
+        return np.sum(np.ascontiguousarray(a), axis=-1)
     return functools.reduce(np.add, (a[..., i] for i in range(a.shape[-1])), 0.0)
+
+
+def row_contract(a: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """sum_ij a_ij hess_ij per row: ``np.vdot`` of each row, rounded alike."""
+    d = hess.shape[-1]
+    return row_dot(a.reshape(a.shape[:-2] + (d * d,)),
+                   hess.reshape(hess.shape[:-2] + (d * d,)))
 
 
 def nonzero_rows(a: np.ndarray) -> np.ndarray:
@@ -214,11 +224,12 @@ class NormSpec:
     a float value at one point.  ``dual()`` is the dual norm's spec (by
     default the planar ``NumericDualNorm``) and ``dual_value`` its value;
     ``canonical()`` is the text ``parse_norm`` reads back.  Specs are
-    immutable and every method is pure, so they can be shared across threads.
+    immutable and every method is pure.
 
     ``matrix`` is M for quadratic-form norms H(x) = sqrt(<Mx, x>) and None
     for every other norm.  It is the one answer to "does the transform
-    theory apply, and with which M?" that the other modules ask.  For
+    theory apply, and with which M?" that the other modules ask; they take
+    the arithmetic of M from the spec's ``form`` and ``contract``.  For
     quadratic-form specs every batch row of ``value``, ``dual_value``,
     ``value_gradient`` and ``jet`` rounds as that point alone, and so do the
     batch rows of the quartic norm and of its numeric dual: every power is
@@ -271,15 +282,24 @@ class RiemannianNorm(NormSpec):
         self.matrix = matrix
         self.dim = matrix.dim
 
+    def form(self, pts: np.ndarray, order: int = 2):
+        """(Mx, <Mx, x>) per row of `pts`; `order` is that of the jet it
+        serves, for a form that rounds by order."""
+        return quadratic_form(self.matrix.entries, pts)
+
+    def contract(self, hess: np.ndarray) -> np.ndarray:
+        """sum_ij M_ij hess_ij per row of `hess`."""
+        return row_contract(self.matrix.entries, hess)
+
     def _eval(self, pts, order):
-        m = self.matrix.entries
-        mx, q = quadratic_form(m, pts)
+        mx, q = self.form(pts, order)
         h = np.sqrt(np.maximum(q, 0.0))
         if order == 0:
             return h
         grad = mx / h[..., None]
         if order == 1:
             return h, grad
+        m = self.matrix.entries
         return h, grad, (m - row_outer(grad, grad)) / h[..., None, None]
 
     def dual(self) -> "RiemannianNorm":
@@ -297,29 +317,34 @@ class RiemannianNorm(NormSpec):
         )
 
 
-class EuclideanNorm(NormSpec):
-    """The Euclidean norm |x|; self-dual."""
+class EuclideanNorm(RiemannianNorm):
+    """The Euclidean norm |x|, M = I; self-dual."""
 
     def __init__(self, dim: int):
         dim = int(dim)
         if dim < 2:
             raise ValueError("dimension must be at least 2")
-        self.dim = dim
-        self.matrix = SpdMatrix(np.eye(dim))
+        super().__init__(SpdMatrix(np.eye(dim)))
 
-    def _eval(self, pts, order):
+    def form(self, pts, order=2):
         # <x, x> rounds two ways: row_sum (np.sum's order) at orders 0-1,
         # row_dot at 2, so ``value`` and ``jet`` can differ in the last bit
         # (the CHANGES.md FOUND: line on `EuclideanNorm.value` against `jet`)
-        if order < 2:
-            h = np.sqrt(row_sum(pts * pts))
-            return h if order == 0 else (h, pts / h[..., None])
-        h = np.sqrt(row_dot(pts, pts))
-        grad = pts / h[..., None]
-        return h, grad, (np.eye(self.dim) - row_outer(grad, grad)) / h[..., None, None]
+        return pts, (row_sum(pts * pts) if order < 2 else row_dot(pts, pts))
+
+    def contract(self, hess):
+        # vdot(I, hess) sums the diagonal in another order at d >= 4: on
+        # `all --norm euclidean:4 --count 200` it moves 134 semilinear rows
+        # and raises the oracle median of the quadratic family's lhs from
+        # 1.42 to 1.66 eps, while the gaussian-bump lhs median falls from
+        # 0.99 to 0.93 (scripts/oracle_error.py).
+        return np.trace(hess, axis1=-2, axis2=-1)
 
     def dual(self) -> "EuclideanNorm":
         return EuclideanNorm(self.dim)
+
+    def dual_value(self, x):
+        return self.value(x)
 
     def canonical(self) -> str:
         return f"euclidean:{self.dim}"

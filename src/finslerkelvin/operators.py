@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import ScalarField
-from .norms import (EuclideanNorm, Jet2, NormSpec, _unbox, nonzero_rows,
-                    quadratic_form, row_dot, row_outer)
+from .norms import (Jet2, NormSpec, _unbox, nonzero_rows, row_contract,
+                    row_dot, row_outer)
 
 __all__ = [
     "NumericJet",
@@ -192,13 +192,6 @@ def _coefficient_matrix(spec: NormSpec, grad: np.ndarray) -> np.ndarray:
             + row_outer(j.gradient, j.gradient))
 
 
-def _contract(a: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """sum_ij a_ij hess_ij per row: ``np.vdot`` of each row, rounded alike."""
-    d = hess.shape[-1]
-    return row_dot(a.reshape(a.shape[:-2] + (d * d,)),
-                   hess.reshape(hess.shape[:-2] + (d * d,)))
-
-
 def anisotropic_laplacian(spec: NormSpec, jet: Jet2):
     """trace(A(grad u) D^2 u) for A = half the Hessian of H^2.
 
@@ -208,20 +201,13 @@ def anisotropic_laplacian(spec: NormSpec, jet: Jet2):
     zero gradient is an error.
     """
     hess = np.asarray(jet.hessian, dtype=float)
-    if isinstance(spec, EuclideanNorm):
-        # M = I.  vdot(I, hess) sums the diagonal in another order at
-        # d >= 4: on `all --norm euclidean:4 --count 200` it moves 134
-        # semilinear rows and raises the oracle median of the quadratic
-        # family's lhs from 1.42 to 1.66 eps, while the gaussian-bump lhs
-        # median falls from 0.99 to 0.93 (scripts/oracle_error.py).
-        return _unbox(np.trace(hess, axis1=-2, axis2=-1))
     if spec.matrix is not None:
-        return _unbox(_contract(spec.matrix.entries, hess))
+        return _unbox(spec.contract(hess))
     grad = np.asarray(jet.gradient, dtype=float)
     if not nonzero_rows(grad).all():
         raise ValueError("operator coefficient undefined at a zero gradient "
                          "for non-quadratic norms")
-    return _unbox(_contract(_coefficient_matrix(spec, grad), hess))
+    return _unbox(row_contract(_coefficient_matrix(spec, grad), hess))
 
 
 # Division guard, far above underflow and far below any sane jet: rows with a
@@ -250,16 +236,15 @@ def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int):
     g, h = grad[live], hess[live]
     value = np.zeros(grad.shape[:-1])
     if spec.matrix is not None:
-        m = spec.matrix.entries
-        mg, q = quadratic_form(m, g)
-        core = m + (n - 2.0) * row_outer(mg, mg) / q[:, None, None]
-        value[live] = np.float_power(q, (n - 2.0) / 2.0) * _contract(core, h)
+        mg, q = spec.form(g)
+        core = spec.matrix.entries + (n - 2.0) * row_outer(mg, mg) / q[:, None, None]
+        value[live] = np.float_power(q, (n - 2.0) / 2.0) * row_contract(core, h)
     else:
         j = spec.jet(g)
         b = (np.float_power(j.value, n - 1.0)[:, None, None] * j.hessian
              + ((n - 1.0) * np.float_power(j.value, n - 2.0))[:, None, None]
              * row_outer(j.gradient, j.gradient))
-        value[live] = _contract(b, h)
+        value[live] = row_contract(b, h)
     if n == 2 and degenerate.any():
         # in the plane B = A, which is defined at a zero gradient only for
         # quadratic-form norms

@@ -42,7 +42,15 @@ def test_row_sum_is_numpys_sum_bit_for_bit(d):
     rows = _rows(d)
     with np.errstate(invalid="ignore", over="ignore"):
         for a in (rows, np.asfortranarray(rows), rows.reshape(2, -1, d), rows[7]):
-            assert _same_bits(row_sum(a), np.sum(a, axis=-1))
+            assert _same_bits(row_sum(a), np.sum(np.ascontiguousarray(a), axis=-1))
+
+
+@pytest.mark.parametrize("d", range(8, 12))
+def test_euclidean_value_is_independent_of_memory_layout(d):
+    # numpy sums a Fortran-ordered batch by columns, a C-ordered one pairwise
+    x = np.random.default_rng(d).standard_normal((1000, d))
+    spec = EuclideanNorm(d)
+    assert _same_bits(spec.value(np.asfortranarray(x)), spec.value(x))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -21,16 +21,20 @@ def test_every_name_in_all_resolves(name):
         assert hasattr(module, attr), f"{name}.{attr}"
 
 
-def test_package_imports_only_names_in_their_module_all():
+def test_package_star_imports_each_layer_all():
     tree = ast.parse(Path(finslerkelvin.__file__).read_text())
-    imports = [(node.module, alias.name) for node in tree.body
-               if isinstance(node, ast.ImportFrom) and node.level == 1
-               for alias in node.names]
+    imports = [(node.module, [alias.name for alias in node.names])
+               for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
     assert imports
-    for module, name in imports:
+    for module, names in imports:
+        assert names == ["*"], f"{module}: {names}"
+        assert module in MODULES, module
         source = importlib.import_module(f"finslerkelvin.{module}")
-        assert name in source.__all__, f"{module}.{name}"
-        assert getattr(finslerkelvin, name) is getattr(source, name)
+        assert source.__all__
+        for name in source.__all__:
+            assert getattr(finslerkelvin, name) is getattr(source, name), \
+                f"{module}.{name}"
 
 
 def test_report_exports_the_gate_record():
