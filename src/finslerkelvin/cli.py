@@ -146,7 +146,8 @@ def _validate(config: RunConfig, dim_override: int | None) -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the `key = value` config format (one pair per line, # comments).
+    """Parse the config format: a line holds one `key = value` pair or several
+    whitespace-separated `key=value` tokens, and `#` starts a comment.
 
     Unknown keys are errors.  The result is validated exactly like
     command-line flags.
@@ -156,7 +157,6 @@ def parse_config(text: str) -> RunConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        # several whitespace-separated key=value tokens may share a line
         tokens = line.split()
         if len(tokens) > 1 and all("=" in t for t in tokens):
             pairs = tokens

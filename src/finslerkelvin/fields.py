@@ -1,9 +1,10 @@
 """Scalar fields on R^N (minus the origin) with optional analytic jets.
 
 A ``ScalarField`` couples a vectorised evaluation callable with an optional
-second-order jet callable.  Fields can be added, scaled, and multiplied;
-jets combine by the exact sum/product rules, so manufactured right-hand
-sides built from these combinators keep analytic derivatives.
+second-order jet callable.  Fields are added and multiplied through one
+combinator, a scalar operand being the constant field (so scaling is a
+product); jets combine by the exact sum and product rules, so manufactured
+right-hand sides built this way keep analytic derivatives.
 
 Every jet here is second-order forward (Taylor-mode) propagation over a
 batch (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import (Jet2, NormSpec, _jet, _unbox, quadratic_form, row_dot,
-                    row_outer, row_sum)
+from .norms import (Jet2, NormSpec, _unbox, quadratic_form, row_dot, row_outer,
+                    row_sum)
 
 __all__ = [
     "ScalarField",
@@ -36,11 +37,12 @@ class ScalarField:
 
     `evaluate` maps arrays of shape (..., dim) to shape (...); `jet` maps
     one point (dim,) or a batch (n, dim) to one :class:`Jet2` of the
-    matching shapes, with a float value at one point.  The jets of the
-    built-in constructors and of the algebra below round every batch row as
-    that point alone.  When a jet callable is attached it is expected to be
-    consistent with finite differences of `evaluate` (the test suite
-    enforces this for every built-in constructor).
+    matching shapes, with a float value at one point; both refuse a point
+    whose last axis is not `dim`.  The jets of the built-in constructors
+    and of the algebra below round every batch row as that point alone.
+    When a jet callable is attached it is expected to be consistent with
+    finite differences of `evaluate` (the test suite enforces this for
+    every built-in constructor).
     """
 
     def __init__(self, dim, evaluate, jet=None, name="field"):
@@ -49,12 +51,14 @@ class ScalarField:
         self._jet_fn = jet
         self.name = name
 
-    def __call__(self, x):
+    def _points(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
         if pts.shape[-1:] != (self.dim,):
             raise ValueError(f"field {self.name!r} expects points in R^{self.dim}")
-        out = self._evaluate(pts)
-        return _unbox(out)
+        return pts
+
+    def __call__(self, x):
+        return _unbox(self._evaluate(self._points(x)))
 
     @property
     def has_jet(self) -> bool:
@@ -63,30 +67,31 @@ class ScalarField:
     def jet(self, x) -> Jet2:
         if self._jet_fn is None:
             raise ValueError(f"field {self.name!r} carries no jet contract")
-        return self._jet_fn(np.asarray(x, dtype=float))
+        return self._jet_fn(self._points(x))
 
     def __repr__(self):
         tag = "jet" if self.has_jet else "no jet"
         return f"<ScalarField {self.name!r} dim={self.dim} ({tag})>"
 
-    # -- algebra ------------------------------------------------------------
+    # -- algebra: a scalar operand is the constant field -------------------
+
+    def _combine(self, other, op, rule, sign):
+        """op of the values, `rule` of the jets when both operands have one."""
+        other = _coerce(other, self.dim)
+        both = self.has_jet and other.has_jet
+        return ScalarField(
+            self.dim, lambda pts: op(self._evaluate(pts), other._evaluate(pts)),
+            jet=(lambda x: rule(self.jet(x), other.jet(x))) if both else None,
+            name=f"({self.name}{sign}{other.name})")
 
     def __add__(self, other):
-        other = _coerce(other, self.dim)
-        jet = None
-        if self.has_jet and other.has_jet:
-            def jet(x, a=self, b=other):
-                ja, jb = a.jet(x), b.jet(x)
-                return Jet2(ja.value + jb.value, ja.gradient + jb.gradient,
-                            ja.hessian + jb.hessian)
-        return ScalarField(
-            self.dim,
-            lambda pts: self._evaluate(pts) + other._evaluate(pts),
-            jet=jet,
-            name=f"({self.name}+{other.name})",
-        )
+        return self._combine(other, np.add, _sum_jet, "+")
+
+    def __mul__(self, other):
+        return self._combine(other, np.multiply, _product_jet, "*")
 
     __radd__ = __add__
+    __rmul__ = __mul__
 
     def __neg__(self):
         return self * (-1.0)
@@ -94,33 +99,11 @@ class ScalarField:
     def __sub__(self, other):
         return self + (-_coerce(other, self.dim))
 
-    def __mul__(self, other):
-        if np.isscalar(other):
-            c = float(other)
-            jet = None
-            if self.has_jet:
-                def jet(x, a=self, c=c):
-                    j = a.jet(x)
-                    return Jet2(c * j.value, c * j.gradient, c * j.hessian)
-            return ScalarField(
-                self.dim,
-                lambda pts: c * self._evaluate(pts),
-                jet=jet,
-                name=f"({other}*{self.name})",
-            )
-        other = _coerce(other, self.dim)
-        jet = None
-        if self.has_jet and other.has_jet:
-            def jet(x, a=self, b=other):
-                return _product_jet(a.jet(x), b.jet(x))
-        return ScalarField(
-            self.dim,
-            lambda pts: self._evaluate(pts) * other._evaluate(pts),
-            jet=jet,
-            name=f"({self.name}*{other.name})",
-        )
 
-    __rmul__ = __mul__
+def _sum_jet(ja: Jet2, jb: Jet2) -> Jet2:
+    """The sum rule: the jet of a+b from the jets of a and b."""
+    return Jet2(ja.value + jb.value, ja.gradient + jb.gradient,
+                ja.hessian + jb.hessian)
 
 
 def _product_jet(ja: Jet2, jb: Jet2) -> Jet2:
@@ -131,7 +114,7 @@ def _product_jet(ja: Jet2, jb: Jet2) -> Jet2:
     hess = (vb[..., None, None] * ja.hessian
             + va[..., None, None] * jb.hessian
             + cross + np.swapaxes(cross, -1, -2))
-    return _jet(va * vb, grad, hess)
+    return Jet2(va * vb, grad, hess)
 
 
 def _coerce(obj, dim) -> ScalarField:
@@ -149,7 +132,7 @@ def constant_field(dim, c, name=None) -> ScalarField:
     return ScalarField(
         dim,
         lambda pts: np.full(pts.shape[:-1], c),
-        jet=lambda x: _jet(np.full(x.shape[:-1], c), np.zeros(x.shape),
+        jet=lambda x: Jet2(np.full(x.shape[:-1], c), np.zeros(x.shape),
                            np.zeros(x.shape + (dim,))),
         name=name or f"const({c})",
     )
@@ -162,7 +145,7 @@ def linear_field(a, c=0.0, name=None) -> ScalarField:
     return ScalarField(
         dim,
         lambda pts: pts @ a + c,
-        jet=lambda x: _jet(row_dot(x, a) + c, np.broadcast_to(a, x.shape).copy(),
+        jet=lambda x: Jet2(row_dot(x, a) + c, np.broadcast_to(a, x.shape).copy(),
                            np.zeros(x.shape + (dim,))),
         name=name or "linear",
     )
@@ -181,7 +164,7 @@ def quadratic_field(a, b=None, c=0.0, name=None) -> ScalarField:
     def jet(x):
         sx, xsx = quadratic_form(sym, x)
         hess = np.broadcast_to(2.0 * sym, x.shape + (dim,)).copy()
-        return _jet(xsx + row_dot(x, b) + c, 2.0 * sx + b, hess)
+        return Jet2(xsx + row_dot(x, b) + c, 2.0 * sx + b, hess)
 
     return ScalarField(dim, evaluate, jet=jet, name=name or "quadratic")
 
@@ -206,7 +189,7 @@ def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
         value = row_sum(a * (x2 * x)) + xbx + row_dot(x, cv)
         hess = np.broadcast_to(2.0 * bm, x.shape + (dim,)).copy()
         hess[..., diag, diag] += 6.0 * a * x
-        return _jet(value, 3.0 * a * x2 + 2.0 * bx + cv, hess)
+        return Jet2(value, 3.0 * a * x2 + 2.0 * bx + cv, hess)
 
     return ScalarField(dim, evaluate, jet=jet, name=name or "cubic")
 
@@ -228,7 +211,7 @@ def gaussian_field(center, width=1.0, amplitude=1.0, name=None) -> ScalarField:
         grad = (value * (-2.0 / w2))[..., None] * d
         hess = value[..., None, None] * (4.0 / w2**2 * row_outer(d, d)
                                          - 2.0 / w2 * np.eye(dim))
-        return _jet(value, grad, hess)
+        return Jet2(value, grad, hess)
 
     return ScalarField(dim, evaluate, jet=jet, name=name or "gaussian")
 
@@ -254,6 +237,6 @@ def norm_power_field(spec: NormSpec, exponent: float, name=None) -> ScalarField:
             * row_outer(j.gradient, j.gradient)
             + hp1[..., None, None] * j.hessian
         )
-        return _jet(np.float_power(j.value, p), grad, hess)
+        return Jet2(np.float_power(j.value, p), grad, hess)
 
     return ScalarField(spec.dim, evaluate, jet=jet, name=name or f"H^{p}")

@@ -23,8 +23,8 @@ own map, one Newton solve for the quartic norm's numeric dual.
 
 Transforms of scalar fields:
 
-* ``hat_transform``:  u  ->  H(y)^(2-N) * u(T(y))   (weighted pullback)
 * ``star_transform``: u  ->  u(T(y))                (plain pullback)
+* ``hat_transform``:  u  ->  H(y)^(2-N) * u(T(y))   (weight field times star)
 
 Both return fields with analytic chain-rule jets when the context norm is
 quadratic-form and `u` has a jet; otherwise the transformed field falls
@@ -268,19 +268,17 @@ def star_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
 def hat_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
     """Weighted pullback y -> H(y)^(2-N) u(T(y)).
 
-    In the plane the weight is 1 and hat and star coincide.  The jet is
-    ``_hat_jets`` of u alone, the exact product rule of the weight's and the
-    pullback's jets, whenever both are analytic.
+    In the plane the weight is 1 and hat and star coincide.  When u has a
+    jet and the norm is quadratic-form, hat is the field product of the
+    weight ``norm_power_field(spec, 2 - N)`` and ``star_transform``, so its
+    values and its jet (the product rule, as in ``_hat_jets``) come from
+    one weight field.
     """
-    if u.dim != ctx.dim:
-        raise ValueError("field dimension does not match the context")
-    name = f"hat({u.name})"
+    star, name = star_transform(ctx, u), f"hat({u.name})"  # checks u.dim
     if u.has_jet and ctx.spec.matrix is not None:
-        def weighted(pts):
-            weight = np.asarray(ctx.spec.value(pts)) ** (2.0 - ctx.dim)
-            return weight * u(kelvin_map(ctx, pts))
-        return ScalarField(ctx.dim, weighted, name=name,
-                           jet=lambda y: _hat_jets(ctx, [u], y)[0])
+        field = norm_power_field(ctx.spec, 2.0 - ctx.dim) * star
+        field.name = name
+        return field
 
     def evaluate(pts):
         h, t = _inversion(ctx.spec, pts)

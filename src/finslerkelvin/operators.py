@@ -16,7 +16,8 @@ A(xi) = H(xi) D^2 H(xi) + gradH(xi) (x) gradH(xi), i.e. half the Hessian of
 H^2.  For quadratic-form norms A is the constant matrix M.  The
 dimension-tied quasilinear variant div(H^(N-1)(grad u) gradH(grad u))
 evaluates as trace(B(grad u) D^2 u) with
-B(xi) = H^(N-1) D^2 H + (N-1) H^(N-2) gradH (x) gradH.
+B(xi) = H^(N-1) D^2 H + (N-1) H^(N-2) gradH (x) gradH, which is A at N = 2;
+one routine computes both.
 """
 
 from __future__ import annotations
@@ -185,11 +186,14 @@ def numeric_jet(field: ScalarField, point, step: float | str = "auto",
     return NumericJet(f0, grad, hess, gerr, herr)
 
 
-def _coefficient_matrix(spec: NormSpec, grad: np.ndarray) -> np.ndarray:
-    """A(grad) = H D^2 H + gradH (x) gradH evaluated at the field gradient."""
+def _coefficient_matrix(spec: NormSpec, grad: np.ndarray, n: int = 2):
+    """B(grad) = H^(n-1) D^2 H + (n-1) H^(n-2) gradH (x) gradH evaluated at
+    the field gradient.  At n = 2 it is A(grad) bit for bit: ``float_power``
+    of H to 1 is H, and 1.0 times a product is that product."""
     j = spec.jet(grad)
-    return (np.asarray(j.value)[..., None, None] * j.hessian
-            + row_outer(j.gradient, j.gradient))
+    return (np.float_power(j.value, n - 1.0)[..., None, None] * j.hessian
+            + ((n - 1.0) * np.float_power(j.value, n - 2.0))[..., None, None]
+            * row_outer(j.gradient, j.gradient))
 
 
 def anisotropic_laplacian(spec: NormSpec, jet: Jet2):
@@ -240,11 +244,7 @@ def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int):
         core = spec.matrix.entries + (n - 2.0) * row_outer(mg, mg) / q[:, None, None]
         value[live] = np.float_power(q, (n - 2.0) / 2.0) * row_contract(core, h)
     else:
-        j = spec.jet(g)
-        b = (np.float_power(j.value, n - 1.0)[:, None, None] * j.hessian
-             + ((n - 1.0) * np.float_power(j.value, n - 2.0))[:, None, None]
-             * row_outer(j.gradient, j.gradient))
-        value[live] = row_contract(b, h)
+        value[live] = row_contract(_coefficient_matrix(spec, g, n), h)
     if n == 2 and degenerate.any():
         # in the plane B = A, which is defined at a zero gradient only for
         # quadratic-form norms

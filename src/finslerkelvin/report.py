@@ -208,6 +208,10 @@ def _write(segments, encode) -> str:
     words = dict.fromkeys(w for pieces, _ in blocks for p in pieces
                           for w in (p[1] if isinstance(p, tuple) else [p]))
     bits = np.concatenate([[]] + [c for _, cols in blocks for c in cols])
+    # a hand-rolled unique: np.unique(..., return_inverse=True) writes the
+    # same bytes but raised riemannian-bulk seed 0's peak RSS (VmHWM) from
+    # 49.5 MB to 53.4 MB, or 50.3 MB with its inverse cast to int32 (3 of 3
+    # runs each, numpy 2.4)
     order = np.argsort(bits.view(np.uint64))
     bits = bits.view(np.uint64)[order]
     first = np.ones(len(bits), dtype=bool)  # opens a run of equal bits

@@ -261,11 +261,8 @@ def manufacture_semilinear(spec: NormSpec,
     else:
         raise ValueError(f"unknown manufactured family {family!r}")
 
-    def evaluate(pts):
-        pts = np.asarray(pts, dtype=float)
-        return -anisotropic_laplacian(spec, u.jet(pts))
-
-    f = ScalarField(dim, evaluate, name=f"f-{family}-pointwise")
+    f = ScalarField(dim, lambda pts: -anisotropic_laplacian(spec, u.jet(pts)),
+                    name=f"f-{family}-pointwise")
     return ManufacturedProblem(u, f, family)
 
 
@@ -283,12 +280,9 @@ def manufacture_nlaplace(spec: NormSpec,
     if family != "quadratic":
         raise ValueError(f"unknown manufactured family {family!r}")
     u = quadratic_field(0.5 * np.eye(dim), name="u-quadratic")
-
-    def evaluate(pts):
-        pts = np.asarray(pts, dtype=float)
-        return -finsler_n_laplacian(spec, u.jet(pts), dim)
-
-    return u, ScalarField(dim, evaluate, name="g-quadratic-pointwise")
+    g = ScalarField(dim, lambda pts: -finsler_n_laplacian(spec, u.jet(pts), dim),
+                    name="g-quadratic-pointwise")
+    return u, g
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +449,7 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
                                           jp.gradient)
     jq = ctx.dual.jet(row_matvec(dt, ps))
     right = (np.float_power(hy, 4) * jq.value)[:, None] * jq.gradient
-    idx = np.arange(count)
-    k = np.argmax(np.abs(left - right), axis=1)
-    left_k, right_k = left[idx, k], right[idx, k]
+    left_k, right_k = _worst_component(left, right)
     abs_b = np.abs(left_k - right_k)
     rel_b = abs_b / np.maximum(np.maximum(np.max(np.abs(left), axis=1),
                                           np.max(np.abs(right), axis=1)), 1.0)
@@ -472,6 +464,14 @@ def check_proof_identities(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     return ResidualReport(suite="proof-identities", tolerance=TOL_PROOF_IDENTITY,
                           rows=rows, details={g.name: g.value for g in gates},
                           gates=gates)
+
+
+def _worst_component(got: np.ndarray, want: np.ndarray):
+    """(got, want) per row at the component where they differ most, the
+    first such component on a tie."""
+    idx = np.arange(len(got))
+    k = np.argmax(np.abs(got - want), axis=1)
+    return got[idx, k], want[idx, k]
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +496,6 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     j = spec.jet(pts)
     jd = dual.jet(pts)
     h = j.value
-
-    def worst_component(got, want):
-        k = np.argmax(np.abs(got - want), axis=1)
-        return got[idx, k], want[idx, k]
-
     s = scales[idx % len(scales)]
     t = scales[(idx + 3) % len(scales)]
     ratio = h / np.sqrt(row_dot(pts, pts))
@@ -511,14 +506,14 @@ def run_identity_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
         ("euler", row_dot(j.gradient, pts), h),
         ("homogeneity", spec.value(s[:, None] * pts), np.abs(s) * h),
         ("gradient_zero_homogeneity",
-         *worst_component(spec.jet(t[:, None] * pts).gradient,
-                          np.copysign(1.0, t)[:, None] * j.gradient)),
+         *_worst_component(spec.jet(t[:, None] * pts).gradient,
+                           np.copysign(1.0, t)[:, None] * j.gradient)),
         ("unit_duality", spec.value(jd.gradient), ones),
         ("unit_duality", spec.dual_value(j.gradient), ones),
         ("inverse_duality",
-         *worst_component(h[:, None] * dual.jet(j.gradient).gradient, pts)),
+         *_worst_component(h[:, None] * dual.jet(j.gradient).gradient, pts)),
         ("inverse_duality",
-         *worst_component(jd.value[:, None] * spec.jet(jd.gradient).gradient, pts)),
+         *_worst_component(jd.value[:, None] * spec.jet(jd.gradient).gradient, pts)),
         ("equivalence", ratio, np.clip(ratio, c1, c2)),
         ("bidual", dual.dual_value(pts), h),
     ]
