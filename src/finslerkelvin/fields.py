@@ -4,7 +4,9 @@ A ``ScalarField`` couples a vectorised evaluation callable with an optional
 second-order jet callable.  Fields are added and multiplied through one
 combinator, a scalar operand being the constant field (so scaling is a
 product); jets combine by the exact sum and product rules, so manufactured
-right-hand sides built this way keep analytic derivatives.
+right-hand sides built this way keep analytic derivatives.  The polynomial
+constructors are ``quadratic_field``, with zero higher terms for a constant
+or linear field; ``cubic_axis_field`` adds a cubic diagonal to one.
 
 Every jet here is second-order forward (Taylor-mode) propagation over a
 batch (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
@@ -15,6 +17,8 @@ batch row rounds exactly as the point alone does.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -122,33 +126,19 @@ def _coerce(obj, dim) -> ScalarField:
         if obj.dim != dim:
             raise ValueError("field dimensions differ")
         return obj
-    if np.isscalar(obj):
-        return constant_field(dim, float(obj))
+    if isinstance(obj, numbers.Real):
+        return constant_field(dim, obj)
     raise TypeError(f"cannot combine ScalarField with {type(obj).__name__}")
 
 
 def constant_field(dim, c, name=None) -> ScalarField:
     c = float(c)
-    return ScalarField(
-        dim,
-        lambda pts: np.full(pts.shape[:-1], c),
-        jet=lambda x: Jet2(np.full(x.shape[:-1], c), np.zeros(x.shape),
-                           np.zeros(x.shape + (dim,))),
-        name=name or f"const({c})",
-    )
+    return quadratic_field(np.zeros((dim, dim)), c=c, name=name or f"const({c})")
 
 
 def linear_field(a, c=0.0, name=None) -> ScalarField:
     """<a, x> + c."""
-    a = np.asarray(a, dtype=float)
-    dim = a.shape[0]
-    return ScalarField(
-        dim,
-        lambda pts: pts @ a + c,
-        jet=lambda x: Jet2(row_dot(x, a) + c, np.broadcast_to(a, x.shape).copy(),
-                           np.zeros(x.shape + (dim,))),
-        name=name or "linear",
-    )
+    return quadratic_field(np.zeros((len(a), len(a))), a, c, name=name or "linear")
 
 
 def quadratic_field(a, b=None, c=0.0, name=None) -> ScalarField:
@@ -173,25 +163,16 @@ def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
     """sum_i a_i x_i^3 plus an optional quadratic tail <x,Bx> + <c,x>."""
     a = np.asarray(a, dtype=float)
     dim = a.shape[0]
-    bm = np.zeros((dim, dim)) if b is None else 0.5 * (np.asarray(b, float)
-                                                       + np.asarray(b, float).T)
-    cv = np.zeros(dim) if c is None else np.asarray(c, dtype=float)
-
-    def evaluate(pts):
-        return (row_sum(a * pts**3)
-                + np.einsum("...i,ij,...j->...", pts, bm, pts) + pts @ cv)
-
-    diag = np.arange(dim)
 
     def jet(x):
         x2 = x * x
-        bx, xbx = quadratic_form(bm, x)
-        value = row_sum(a * (x2 * x)) + xbx + row_dot(x, cv)
-        hess = np.broadcast_to(2.0 * bm, x.shape + (dim,)).copy()
-        hess[..., diag, diag] += 6.0 * a * x
-        return Jet2(value, 3.0 * a * x2 + 2.0 * bx + cv, hess)
+        return Jet2(row_sum(a * (x2 * x)), 3.0 * a * x2,
+                    (6.0 * a * x)[..., None] * np.eye(dim))
 
-    return ScalarField(dim, evaluate, jet=jet, name=name or "cubic")
+    cubic = ScalarField(dim, lambda pts: row_sum(a * pts**3), jet=jet)
+    field = cubic + quadratic_field(np.zeros((dim, dim)) if b is None else b, c)
+    field.name = name or "cubic"
+    return field
 
 
 def gaussian_field(center, width=1.0, amplitude=1.0, name=None) -> ScalarField:
@@ -230,13 +211,15 @@ def norm_power_field(spec: NormSpec, exponent: float, name=None) -> ScalarField:
 
     def jet(x):
         j = spec.jet(x)
-        hp1 = np.float_power(j.value, p - 1.0)
-        grad = (p * hp1)[..., None] * j.gradient
-        hess = p * (
-            ((p - 1.0) * np.float_power(j.value, p - 2.0))[..., None, None]
-            * row_outer(j.gradient, j.gradient)
-            + hp1[..., None, None] * j.hessian
-        )
-        return Jet2(np.float_power(j.value, p), grad, hess)
+        grad = (p * np.float_power(j.value, p - 1.0))[..., None] * j.gradient
+        return Jet2(np.float_power(j.value, p), grad, p * _power_curvature(j, p))
 
     return ScalarField(spec.dim, evaluate, jet=jet, name=name or f"H^{p}")
+
+
+def _power_curvature(j: Jet2, p: float) -> np.ndarray:
+    """H^(p-1) D^2H + (p-1) H^(p-2) gradH (x) gradH from a norm jet: the
+    Hessian of H^p over p, so D^2(H^2)/2 at p = 2."""
+    return (np.float_power(j.value, p - 1.0)[..., None, None] * j.hessian
+            + ((p - 1.0) * np.float_power(j.value, p - 2.0))[..., None, None]
+            * row_outer(j.gradient, j.gradient))

@@ -160,11 +160,8 @@ def det_invariant(ctx: KelvinContext, x):
     The power goes through ``np.float_power``, the C library's ``pow`` per
     element, so a batch row rounds as the point alone.
     """
-    pts = np.asarray(x, dtype=float)
-    h = np.asarray(ctx.spec.value(pts))
-    if np.any(h == 0.0):
-        raise ValueError("inversion map is undefined at the origin")
-    return _unbox(np.float_power(h, 2 * ctx.dim) * jacobian_det(ctx, pts))
+    h = _inversion(ctx.spec, x)[0]
+    return _unbox(np.float_power(h, 2 * ctx.dim) * jacobian_det(ctx, x))
 
 
 def reflection_determinant(y):

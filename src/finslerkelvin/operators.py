@@ -14,10 +14,10 @@ For a norm H, the divergence-form operator div(H(grad u) gradH(grad u))
 evaluates pointwise as trace(A(grad u) D^2 u) with
 A(xi) = H(xi) D^2 H(xi) + gradH(xi) (x) gradH(xi), i.e. half the Hessian of
 H^2.  For quadratic-form norms A is the constant matrix M.  The
-dimension-tied quasilinear variant div(H^(N-1)(grad u) gradH(grad u))
-evaluates as trace(B(grad u) D^2 u) with
-B(xi) = H^(N-1) D^2 H + (N-1) H^(N-2) gradH (x) gradH, which is A at N = 2;
-one routine computes both.
+dimension-tied quasilinear variant div(H^(N-1)(grad u) gradH(grad u)) =
+div(grad(H^N/N)(grad u)) evaluates as trace(B(grad u) D^2 u) with
+B = D^2(H^N)/N = H^(N-1) D^2 H + (N-1) H^(N-2) gradH (x) gradH, A at N = 2:
+the power rule of ``fields.norm_power_field``'s Hessian computes both.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, _power_curvature
 from .norms import (Jet2, NormSpec, _unbox, nonzero_rows, row_contract,
                     row_dot, row_outer)
 
@@ -179,7 +179,6 @@ def numeric_jet(field: ScalarField, point, step: float | str = "auto",
 
     grad, gerr = _richardson(grad)
     hess, herr = _richardson(hess)
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
     if pts.ndim == 1:
         return NumericJet(f0.item(), grad[0], hess[0], gerr.item(),
                           herr.item())
@@ -187,13 +186,8 @@ def numeric_jet(field: ScalarField, point, step: float | str = "auto",
 
 
 def _coefficient_matrix(spec: NormSpec, grad: np.ndarray, n: int = 2):
-    """B(grad) = H^(n-1) D^2 H + (n-1) H^(n-2) gradH (x) gradH evaluated at
-    the field gradient.  At n = 2 it is A(grad) bit for bit: ``float_power``
-    of H to 1 is H, and 1.0 times a product is that product."""
-    j = spec.jet(grad)
-    return (np.float_power(j.value, n - 1.0)[..., None, None] * j.hessian
-            + ((n - 1.0) * np.float_power(j.value, n - 2.0))[..., None, None]
-            * row_outer(j.gradient, j.gradient))
+    """B(grad) = D^2(H^n)/n at the field gradient, A(grad) at n = 2."""
+    return _power_curvature(spec.jet(grad), n)
 
 
 def anisotropic_laplacian(spec: NormSpec, jet: Jet2):
@@ -232,6 +226,8 @@ def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int):
     n = int(n)
     if n != spec.dim:
         raise ValueError(f"operator is dimension-tied: n={n} but spec.dim={spec.dim}")
+    if n == 2:
+        return anisotropic_laplacian(spec, jet)
     grad = np.asarray(jet.gradient, dtype=float)
     hess = np.asarray(jet.hessian, dtype=float)
     degenerate = np.sqrt(row_dot(grad, grad)) < _DEGENERATE_GRADIENT
@@ -245,9 +241,4 @@ def finsler_n_laplacian(spec: NormSpec, jet: Jet2, n: int):
         value[live] = np.float_power(q, (n - 2.0) / 2.0) * row_contract(core, h)
     else:
         value[live] = row_contract(_coefficient_matrix(spec, g, n), h)
-    if n == 2 and degenerate.any():
-        # in the plane B = A, which is defined at a zero gradient only for
-        # quadratic-form norms
-        value[degenerate] = anisotropic_laplacian(
-            spec, Jet2(0.0, grad[degenerate], hess[degenerate]))
     return _unbox(value)

@@ -178,13 +178,20 @@ class SamplePlan:
 
     @functools.lru_cache(maxsize=4)
     def points(self, spec: NormSpec) -> np.ndarray:
-        """The points, read-only: a memo keyed by (plan, norm) serves repeats."""
+        """The points, read-only: a memo keyed by (plan, norm) serves repeats.
+        A point whose H over- or underflows (not finite and > 0) is refused."""
         lo, hi = self.annulus
         u = halton(self.count, spec.dim + 1, skip=1 + self.seed * self.count)
         radii = lo + (hi - lo) * u[:, 0]
         dirs = 2.0 * u[:, 1:] - 1.0
-        h = np.asarray(spec.value(dirs))
-        pts = dirs * (radii / h)[:, None]
+        pts = dirs * (radii / spec.value(dirs))[:, None]
+        with np.errstate(all="ignore"):
+            h = spec.value(pts)
+        bad = ~(np.isfinite(h) & (h > 0.0))
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValueError(f"annulus {lo:g},{hi:g} is outside floating-point range "
+                             f"for {spec.canonical()}: H = {h[i]:g} at {pts[i].tolist()}")
         pts.flags.writeable = False
         return pts
 
@@ -642,7 +649,8 @@ def _exact_sum(terms: np.ndarray) -> float:
     try:
         return math.fsum(terms.tolist())
     except (ValueError, OverflowError):  # inf - inf, or an overflowing total
-        return float(np.sum(terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(terms))
 
 
 def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
