@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from . import __version__ as VERSION
 from .norms import ConvergenceError, NormSpec, parse_norm
 from .report import REPORT_SCHEMA, ResidualReport, render_csv, render_json, render_table
-from .sampling import MAX_DIM
 from .verify import (
     _WEAK_FORM_MAX_DIM,
     SamplePlan,
@@ -135,10 +134,6 @@ def _validate(config: RunConfig, dim_override: int | None) -> RunConfig:
         raise ValueError(f"unknown format {config.format!r}; choose from {FORMATS}")
     if config.threads < 1:
         raise ValueError("threads must be >= 1")
-    if spec.dim >= MAX_DIM:
-        # the sample plan draws dim + 1 Halton coordinates
-        raise ValueError(f"dimension {spec.dim} is too large: sample plans "
-                         f"support at most {MAX_DIM - 1}")
     reason = _refusal(config.suite, spec)
     if reason is not None:
         raise ValueError(f"{config.suite}: {reason}")
@@ -242,6 +237,9 @@ def run(config: RunConfig) -> int:
         except (ValueError, ConvergenceError) as exc:
             exc.args = (f"{name}: {exc}",)  # name the suite that met the input
             raise
+        except MemoryError as exc:
+            # numpy's message ignores a rewritten `args`: wrap it instead
+            raise MemoryError(f"{name}: {exc}") from exc
 
     # stdout carries the report itself when there is no --out
     status_out = sys.stdout if config.out is not None else sys.stderr
@@ -333,9 +331,10 @@ def main(argv=None) -> int:
 
     try:
         return run(config)
-    except (ValueError, ConvergenceError) as exc:
+    except (ValueError, ConvergenceError, MemoryError) as exc:
         # a valid configuration the suites cannot evaluate (say, a stencil
-        # that would reach the origin) is not a verification failure
+        # that would reach the origin, or too many points to allocate) is
+        # not a verification failure
         _error(str(exc))
         return EXIT_CONFIG
 

@@ -44,9 +44,10 @@ class ScalarField:
     matching shapes, with a float value at one point; both refuse a point
     whose last axis is not `dim`.  The jets of the built-in constructors
     and of the algebra below round every batch row as that point alone.
-    When a jet callable is attached it is expected to be consistent with
-    finite differences of `evaluate` (the test suite enforces this for
-    every built-in constructor).
+    An attached jet is analytic (`has_jet` means an analytic jet) and
+    consistent with finite differences of `evaluate` (the test suite
+    enforces this for every built-in constructor); a field without one
+    takes ``operators.numeric_jet``.
     """
 
     def __init__(self, dim, evaluate, jet=None, name="field"):

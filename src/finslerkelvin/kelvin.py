@@ -27,8 +27,8 @@ Transforms of scalar fields:
 * ``hat_transform``:  u  ->  H(y)^(2-N) * u(T(y))   (weight field times star)
 
 Both return fields with analytic chain-rule jets when the context norm is
-quadratic-form and `u` has a jet; otherwise the transformed field falls
-back to finite-difference jets (``operators.numeric_jet``).
+quadratic-form and `u` has a jet, and value-only fields otherwise; a
+caller that needs derivatives of those takes ``operators.numeric_jet``.
 
 ``jacobian_matrix``, ``map_second_derivative``, ``jacobian_det``,
 ``det_invariant``, ``reflection_determinant`` and both kinds of transform
@@ -43,7 +43,6 @@ import numpy as np
 from .fields import ScalarField, _product_jet, norm_power_field
 from .norms import (Jet2, NormSpec, _unbox, nonzero_rows, row_dot, row_matvec,
                     row_outer)
-from .operators import numeric_jet
 from .sampling import cube_directions
 
 __all__ = [
@@ -236,43 +235,27 @@ def _hat_jets(ctx: KelvinContext, us, y: np.ndarray) -> list[Jet2]:
     return [_product_jet(weight, j) for j in _pullback_jet(ctx, us, y)]
 
 
-def _numeric_jet_field(dim: int, evaluate, name: str) -> ScalarField:
-    """Field whose jet is the finite-difference jet of its own values.
-
-    Like every ``ScalarField`` jet it takes one point or a batch; a batch
-    costs two calls of `evaluate`.
-    """
-    field = ScalarField(dim, evaluate, name=name,
-                        jet=lambda y: numeric_jet(field, y))
-    return field
-
-
 def star_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
-    """Plain pullback y -> u(T(y))."""
+    """Plain pullback y -> u(T(y)); a chain-rule jet or none, as above."""
     if u.dim != ctx.dim:
         raise ValueError("field dimension does not match the context")
-
-    def evaluate(pts):
-        return u(kelvin_map(ctx, pts))
-
-    name = f"star({u.name})"
-    if u.has_jet and ctx.spec.matrix is not None:
-        return ScalarField(ctx.dim, evaluate, name=name,
-                           jet=lambda y: _pullback_jet(ctx, [u], y)[0])
-    return _numeric_jet_field(ctx.dim, evaluate, name)
+    analytic = u.has_jet and ctx.spec.matrix is not None
+    return ScalarField(ctx.dim, lambda pts: u(kelvin_map(ctx, pts)),
+                       jet=(lambda y: _pullback_jet(ctx, [u], y)[0]) if analytic
+                       else None, name=f"star({u.name})")
 
 
 def hat_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
     """Weighted pullback y -> H(y)^(2-N) u(T(y)).
 
-    In the plane the weight is 1 and hat and star coincide.  When u has a
-    jet and the norm is quadratic-form, hat is the field product of the
-    weight ``norm_power_field(spec, 2 - N)`` and ``star_transform``, so its
-    values and its jet (the product rule, as in ``_hat_jets``) come from
-    one weight field.
+    In the plane the weight is 1 and hat and star coincide.  When star has
+    a jet, hat is the field product of the weight
+    ``norm_power_field(spec, 2 - N)`` and ``star_transform``, so its values
+    and its jet (the product rule, as in ``_hat_jets``) come from one
+    weight field; otherwise hat has no jet and its values one ``_inversion``.
     """
     star, name = star_transform(ctx, u), f"hat({u.name})"  # checks u.dim
-    if u.has_jet and ctx.spec.matrix is not None:
+    if star.has_jet:
         field = norm_power_field(ctx.spec, 2.0 - ctx.dim) * star
         field.name = name
         return field
@@ -281,4 +264,4 @@ def hat_transform(ctx: KelvinContext, u: ScalarField) -> ScalarField:
         h, t = _inversion(ctx.spec, pts)
         return h ** (2.0 - ctx.dim) * u(t)
 
-    return _numeric_jet_field(ctx.dim, evaluate, name)
+    return ScalarField(ctx.dim, evaluate, name=name)

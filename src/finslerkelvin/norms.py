@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import cube_directions
+from .sampling import MAX_DIM, cube_directions
 
 __all__ = [
     "SpdMatrix",
@@ -627,7 +627,8 @@ def parse_norm(text: str) -> NormSpec:
     """Parse the canonical text form of a norm spec.
 
     Accepted forms: ``riemannian:[[4,0],[0,1]]``, ``euclidean:N``,
-    ``quartic``.
+    ``quartic``.  A dimension no sample plan can cover (the plan draws
+    N + 1 Halton coordinates) is refused before any matrix is built.
     """
     text = text.strip()
     if text == "quartic":
@@ -637,14 +638,24 @@ def parse_norm(text: str) -> NormSpec:
             dim = int(text.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"malformed euclidean dimension in {text!r}") from None
-        return EuclideanNorm(dim)
+        return EuclideanNorm(_plan_dim(dim))
     if text.startswith("riemannian:"):
         body = text.split(":", 1)[1]
         try:
             rows = json.loads(body)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed matrix literal {body!r}: {exc}") from None
+        if isinstance(rows, list):
+            _plan_dim(len(rows))
         return RiemannianNorm(SpdMatrix(rows))
     raise ValueError(
         f"unknown norm {text!r}; expected riemannian:[[...]], euclidean:N, or quartic"
     )
+
+
+def _plan_dim(dim: int) -> int:
+    """`dim`, or a ValueError if sample plans cannot cover it."""
+    if dim >= MAX_DIM:
+        raise ValueError(f"dimension {dim} is too large: sample plans "
+                         f"support at most {MAX_DIM - 1}")
+    return dim

@@ -144,8 +144,9 @@ _WEAK_FORM_MAX_DIM = 6
 
 def _jets(field: ScalarField, pts: np.ndarray, jet_mode: str = "auto"):
     """Jets of `field` over row blocks of `pts`: analytic in `_JET_BLOCK`-row
-    blocks, or finite-difference in `_FD_BLOCK`-row blocks if "numeric"."""
-    numeric = jet_mode == "numeric"
+    blocks, or finite-difference in `_FD_BLOCK`-row blocks if "numeric" or
+    if the field has no (analytic) jet; the one place FD is chosen."""
+    numeric = jet_mode == "numeric" or not field.has_jet
     size = _FD_BLOCK if numeric else _JET_BLOCK
     for k in range(0, len(pts), size):
         block = pts[k:k + size]
@@ -722,9 +723,8 @@ def run_semilinear_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
 
     # transformed source pulled back through the dual map must restore f
     n = ctx.dim
-    dual_ctx = KelvinContext(ctx.dual)
     pts = plan.points(spec)
-    h_dual, t_dual = _inversion(dual_ctx.spec, pts)
+    h_dual, t_dual = _inversion(ctx.dual, pts)
     h, t = _inversion(ctx.spec, t_dual)
     back = np.asarray(prob.f(t)) / h ** (n + 2) / h_dual ** (n + 2)
     f_vals = np.asarray(prob.f(pts))

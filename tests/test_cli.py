@@ -176,6 +176,35 @@ def test_bad_config_exit_code():
                  "--annulus", "1,inf"]) == EXIT_CONFIG
 
 
+def test_a_large_dimension_is_refused_before_a_matrix_is_built(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(SpdMatrix, "__init__",
+                        lambda self, entries: built.append(len(entries)))
+    for norm, dim in (("euclidean:3000", 3000),
+                      ("riemannian:" + json.dumps(np.eye(12).tolist()), 12)):
+        assert main(["identities", "--norm", norm]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: dimension {dim} is too large: sample plans support at most 11\n")
+    assert built == []
+
+
+def test_an_unallocatable_plan_exits_2_naming_the_suite(monkeypatch, capsys):
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+
+    def unallocatable(spec, plan):
+        # numpy's own error, built without asking numpy for the array
+        raise _ArrayMemoryError((10**11, 4), np.dtype(float))
+
+    monkeypatch.setattr(cli, "run_identity_suite", unallocatable)
+    assert main(["all", "--count", "100000000000"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: identities: Unable to allocate \S+ \w+ for an array "
+                        r"with shape \(100000000000, 4\) and data type float64\n", err)
+
+
 def test_bad_flag_value_names_its_key(capsys):
     for key in ("count", "dim"):
         assert main(["identities", f"--{key}", "abc"]) == EXIT_CONFIG

@@ -9,11 +9,13 @@ rows of the point-by-point loop they replaced.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from finslerkelvin import (
+    EuclideanNorm,
     Jet2,
     KelvinContext,
     QuarticNorm,
@@ -209,12 +211,14 @@ def test_quartic_transform_jets_take_a_batch(rng):
     pts = annulus_points(rng, 2, count=40)
     for field in (hat_transform(ctx, quadratic_field(np.eye(2))),
                   star_transform(ctx, gaussian_field(np.array([0.3, -0.2]), 1.3))):
-        batch = field.jet(pts)
+        # no analytic jet off quadratic forms: the FD jet is one call away
+        assert not field.has_jet
+        batch = numeric_jet(field, pts)
         assert batch.value.shape == (40,)
         assert batch.gradient.shape == (40, 2)
         assert batch.hessian.shape == (40, 2, 2)
         for k, y in enumerate(pts):
-            alone = field.jet(y)
+            alone = numeric_jet(field, y)
             gerr = max(batch.gradient_error[k], alone.gradient_error)
             herr = max(batch.hessian_error[k], alone.hessian_error)
             assert batch.value[k] == alone.value
@@ -292,3 +296,48 @@ def test_numeric_nlaplace_makes_two_field_calls_per_block():
     assert len(rep.rows) == 300
     assert len(calls) <= 2 * math.ceil(300 / verify._FD_BLOCK)
 
+
+# ---------------------------------------------------------------------------
+# a field without an analytic jet takes FD jets under "auto" too
+
+JETLESS_PLAN = SamplePlan(count=1500)  # more rows than one block of either size
+
+
+def _fd_lhs(field, pts, lhs_of_jet):
+    """lhs from ``numeric_jet`` over `_FD_BLOCK`- and `_JET_BLOCK`-row blocks,
+    which must agree: a row's FD jet does not depend on its block."""
+    out = [np.hstack([lhs_of_jet(numeric_jet(field, pts[k:k + size]))
+                      for k in range(0, len(pts), size)])
+           for size in (verify._FD_BLOCK, verify._JET_BLOCK)]
+    assert out[0].tobytes() == out[1].tobytes()
+    return out[0]
+
+
+def _column_bytes(rows):
+    return [column.tobytes() for column in rows._columns()]
+
+
+@pytest.mark.parametrize("spec", [EuclideanNorm(3), SPECS[-1]],
+                         ids=["euclidean:3", "spd4"])
+def test_a_jetless_field_takes_fd_jets_in_auto_mode(spec):
+    ctx = KelvinContext(spec)
+    n = spec.dim
+    pts = JETLESS_PLAN.points(spec)
+
+    prob = manufacture_semilinear(spec, "quadratic")
+    bare = replace(prob, u=ScalarField(n, prob.u._evaluate))
+    rep = check_theorem_semilinear(ctx, bare, JETLESS_PLAN)
+    lhs = _fd_lhs(hat_transform(ctx, bare.u), pts,
+                  lambda j: -anisotropic_laplacian(ctx.dual, j))
+    assert rep.rows.lhs.tobytes() == lhs.tobytes()
+    assert _column_bytes(rep.rows) == _column_bytes(check_theorem_semilinear(
+        ctx, bare, JETLESS_PLAN, jet_mode="numeric").rows)
+
+    u, g = manufacture_nlaplace(spec, "quadratic")
+    bare = ScalarField(n, u._evaluate)
+    rep = check_theorem_nlaplace(ctx, bare, g, JETLESS_PLAN)
+    lhs = _fd_lhs(star_transform(ctx, bare), pts,
+                  lambda j: -finsler_n_laplacian(ctx.dual, j, n))
+    assert rep.rows.lhs.tobytes() == lhs.tobytes()
+    assert _column_bytes(rep.rows) == _column_bytes(check_theorem_nlaplace(
+        ctx, bare, g, JETLESS_PLAN, jet_mode="numeric").rows)

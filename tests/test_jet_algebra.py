@@ -22,6 +22,7 @@ from finslerkelvin import (
     hat_transform,
     linear_field,
     norm_power_field,
+    numeric_jet,
     quadratic_field,
     star_transform,
 )
@@ -136,7 +137,7 @@ def _fields_of_dim_3():
     spec = RiemannianNorm(random_spd_matrix(3, seed=1))
     ctx = KelvinContext(spec)
     u, v = _pair(3)
-    bare = ScalarField(3, u, name="no-jet")  # its transforms take FD jets
+    bare = ScalarField(3, u, name="no-jet")  # its transforms carry no jet
     return {
         "constant": constant_field(3, 2.0),
         "linear": linear_field([1.0, 2.0, 3.0]),
@@ -160,6 +161,11 @@ def test_value_and_jet_refuse_a_wrong_dimension(name, shape):
     pts = np.ones(shape)
     with pytest.raises(ValueError, match=r"expects points in R\^3"):
         field(pts)
+    if name.endswith("-numeric"):  # FD jets are taken by numeric_jet
+        assert not field.has_jet
+        with pytest.raises(ValueError, match="point dimension does not match"):
+            numeric_jet(field, pts)
+        return
     with pytest.raises(ValueError, match=r"expects points in R\^3"):
         field.jet(pts)
 

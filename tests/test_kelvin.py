@@ -20,6 +20,7 @@ from finslerkelvin import (
     linear_field,
     map_second_derivative,
     norm_power_field,
+    numeric_jet,
     quadratic_field,
     reflection_determinant,
     star_transform,
@@ -317,9 +318,9 @@ def test_quartic_transform_falls_back_to_numeric_jets(rng):
     ctx = KelvinContext(QuarticNorm())
     u = quadratic_field(0.5 * np.eye(2), [0.3, -0.1])
     field = hat_transform(ctx, u)
-    assert field.has_jet
+    assert not field.has_jet
     for y in annulus_points(rng, 2, count=3):
-        j = field.jet(y)
+        j = numeric_jet(field, y)
         assert np.max(np.abs(j.gradient - fd_gradient(field, y))) <= 1e-5
         assert np.max(np.abs(j.hessian - fd_hessian(field, y, h=3e-3))) <= 1e-3
 

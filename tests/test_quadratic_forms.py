@@ -1,5 +1,6 @@
 """The Euclidean norm as the M = I case of ``RiemannianNorm``: one code path
-for quadratic-form norms, with the Euclidean arithmetic kept bit for bit."""
+for quadratic-form norms, with the Euclidean arithmetic kept bit for bit,
+and the `ast` guards that keep one path per decision in the package."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,27 @@ def test_no_module_but_norms_asks_a_norm_for_its_class():
              if path.name != "norms.py" for line in _norm_class_checks(path)]
     assert not found, ("ask the spec (`matrix`, `form`, `contract`), not its "
                        "class: " + ", ".join(found))
+
+
+def test_only_verify_chooses_finite_difference_jets():
+    """``kelvin`` imports nothing from ``operators``, and outside
+    ``operators.py`` only ``verify.py`` calls ``numeric_jet``: a transform
+    carries an analytic jet or none, and ``verify._jets`` picks FD."""
+    kelvin = PACKAGE / "kelvin.py"
+    imports = [node.lineno for node in ast.walk(ast.parse(kelvin.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and any(name.rsplit(".", 1)[-1] == "operators" for name in
+                       [getattr(node, "module", None) or "",
+                        *(alias.name for alias in node.names)])]
+    assert not imports, f"kelvin.py imports from operators at lines {imports}"
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("operators.py", "verify.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and "numeric_jet" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))]
+    assert not calls, "numeric_jet called outside verify.py: " + ", ".join(calls)
 
 
 def test_euclidean_is_the_identity_riemannian_norm_with_its_own_form():
