@@ -4,9 +4,9 @@ A ``ScalarField`` couples a vectorised evaluation callable with an optional
 second-order jet callable.  Fields are added and multiplied through one
 combinator, a scalar operand being the constant field (so scaling is a
 product); jets combine by the exact sum and product rules, so manufactured
-right-hand sides built this way keep analytic derivatives.  The polynomial
-constructors are ``quadratic_field``, with zero higher terms for a constant
-or linear field; ``cubic_axis_field`` adds a cubic diagonal to one.
+right-hand sides built this way keep analytic derivatives.  The constructors
+are ``quadratic_field`` (a constant or linear field has zero higher terms),
+``gaussian_field`` and ``norm_power_field``.
 
 Every jet here is second-order forward (Taylor-mode) propagation over a
 batch (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
@@ -30,7 +30,6 @@ __all__ = [
     "constant_field",
     "linear_field",
     "quadratic_field",
-    "cubic_axis_field",
     "gaussian_field",
     "norm_power_field",
 ]
@@ -158,22 +157,6 @@ def quadratic_field(a, b=None, c=0.0, name=None) -> ScalarField:
         return Jet2(xsx + row_dot(x, b) + c, 2.0 * sx + b, hess)
 
     return ScalarField(dim, evaluate, jet=jet, name=name or "quadratic")
-
-
-def cubic_axis_field(a, b=None, c=None, name=None) -> ScalarField:
-    """sum_i a_i x_i^3 plus an optional quadratic tail <x,Bx> + <c,x>."""
-    a = np.asarray(a, dtype=float)
-    dim = a.shape[0]
-
-    def jet(x):
-        x2 = x * x
-        return Jet2(row_sum(a * (x2 * x)), 3.0 * a * x2,
-                    (6.0 * a * x)[..., None] * np.eye(dim))
-
-    cubic = ScalarField(dim, lambda pts: row_sum(a * pts**3), jet=jet)
-    field = cubic + quadratic_field(np.zeros((dim, dim)) if b is None else b, c)
-    field.name = name or "cubic"
-    return field
 
 
 def gaussian_field(center, width=1.0, amplitude=1.0, name=None) -> ScalarField:

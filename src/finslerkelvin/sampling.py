@@ -11,6 +11,8 @@ import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_DIM = len(_PRIMES)
+# The last Halton index: indices are int64 digits to divide.
+MAX_INDEX = int(np.iinfo(np.int64).max)
 
 
 def halton(count: int, dim: int, skip: int = 0) -> np.ndarray:
@@ -23,6 +25,9 @@ def halton(count: int, dim: int, skip: int = 0) -> np.ndarray:
         raise ValueError(f"halton supports at most {MAX_DIM} dimensions")
     if count < 0 or skip < 0:
         raise ValueError("count and skip must be non-negative")
+    if skip + count > MAX_INDEX:
+        raise ValueError(f"halton indices end at {MAX_INDEX}, got skip + count "
+                         f"= {skip + count}")
     out = np.zeros((count, dim))
     for j, base in enumerate(_PRIMES[:dim]):
         # radical inverse of every index at once, digit by digit from the

@@ -34,7 +34,6 @@ import numpy as np
 from .fields import (
     ScalarField,
     constant_field,
-    cubic_axis_field,
     gaussian_field,
     linear_field,
     norm_power_field,
@@ -69,7 +68,7 @@ from .operators import (
     numeric_jet,
 )
 from .report import Gate, ResidualReport, ResidualRows, residual_rows, residuals
-from .sampling import cube_directions, halton
+from .sampling import MAX_INDEX, cube_directions, halton
 
 __all__ = [
     "SamplePlan",
@@ -142,11 +141,19 @@ _WEAK_FD_STEP = 1e-5
 _WEAK_FORM_MAX_DIM = 6
 
 
+def _numeric(jet_mode: str) -> bool:
+    """Whether `jet_mode` forces finite-difference jets; a mode other than
+    "auto" or "numeric" is refused."""
+    if jet_mode not in ("auto", "numeric"):
+        raise ValueError(f"jet_mode must be 'auto' or 'numeric', got {jet_mode!r}")
+    return jet_mode == "numeric"
+
+
 def _jets(field: ScalarField, pts: np.ndarray, jet_mode: str = "auto"):
     """Jets of `field` over row blocks of `pts`: analytic in `_JET_BLOCK`-row
     blocks, or finite-difference in `_FD_BLOCK`-row blocks if "numeric" or
     if the field has no (analytic) jet; the one place FD is chosen."""
-    numeric = jet_mode == "numeric" or not field.has_jet
+    numeric = _numeric(jet_mode) or not field.has_jet
     size = _FD_BLOCK if numeric else _JET_BLOCK
     for k in range(0, len(pts), size):
         block = pts[k:k + size]
@@ -176,6 +183,10 @@ class SamplePlan:
             raise ValueError("count must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        last = 1 + (self.seed + 1) * self.count  # the plan's last Halton index
+        if last > MAX_INDEX:
+            raise ValueError(f"seed {self.seed} with count {self.count} reaches Halton "
+                             f"index {last}, past the last one, {MAX_INDEX}")
 
     @functools.lru_cache(maxsize=4)
     def points(self, spec: NormSpec) -> np.ndarray:
@@ -226,51 +237,34 @@ def manufacture_semilinear(spec: NormSpec,
                            family: str = "quadratic") -> ManufacturedProblem:
     """Pick u from a fixed family and derive f = -div(H gradH)(grad u).
 
-    For quadratic-form norms the source is assembled in closed form (with
-    analytic jets); for other norms it falls back to pointwise evaluation
-    of the operator on u's jet.
+    The source is closed-form with an analytic jet: for H = sqrt(<Mx, x>)
+    the operator is trace(M D^2 u).  A norm without a matrix is refused, as
+    the theorem checks that take the problem refuse it.
     """
+    _require_quadratic_form(spec, "a manufactured semilinear source")
     dim = spec.dim
-    m = None if spec.matrix is None else spec.matrix.entries
+    m = spec.matrix.entries
     if family == "quadratic":
         u = quadratic_field(np.eye(dim), name="u-quadratic")
-        if m is not None:
-            f = constant_field(dim, -2.0 * float(np.vdot(m, np.eye(dim))),
-                               name="f-quadratic")
-            return ManufacturedProblem(u, f, family)
+        f = constant_field(dim, -2.0 * float(np.vdot(m, np.eye(dim))),
+                           name="f-quadratic")
     elif family == "gaussian-bump":
         center, width = _default_center(dim), 1.2
         u = gaussian_field(center, width, name="u-gaussian")
-        if m is not None:
-            w2 = width**2
-            # -trace(M D^2 u) = u * (2 tr M / w^2 - 4 (x-c)^T M (x-c) / w^4)
-            poly = quadratic_field(
-                -4.0 * m / w2**2,
-                8.0 * (m @ center) / w2**2,
-                2.0 * float(np.trace(m)) / w2
-                - 4.0 * float(center @ m @ center) / w2**2,
-            )
-            f = u * poly
-            f.name = "f-gaussian"
-            return ManufacturedProblem(u, f, family)
-    elif family == "poly3":
-        a = 1.0 / (1.0 + np.arange(dim))
-        b = 0.4 * np.eye(dim)
-        u = cubic_axis_field(a, b, name="u-poly3")
-        if m is not None:
-            f = linear_field(-6.0 * a * np.diag(m),
-                             -2.0 * float(np.vdot(m, b)),
-                             name="f-poly3")
-            return ManufacturedProblem(u, f, family)
+        w2 = width**2
+        # -trace(M D^2 u) = u * (2 tr M / w^2 - 4 (x-c)^T M (x-c) / w^4)
+        f = u * quadratic_field(
+            -4.0 * m / w2**2,
+            8.0 * (m @ center) / w2**2,
+            2.0 * float(np.trace(m)) / w2
+            - 4.0 * float(center @ m @ center) / w2**2,
+        )
+        f.name = "f-gaussian"
     elif family == "affine":
         u = linear_field(np.arange(1.0, dim + 1.0), name="u-affine")
         f = constant_field(dim, 0.0, name="f-zero")
-        return ManufacturedProblem(u, f, family)
     else:
         raise ValueError(f"unknown manufactured family {family!r}")
-
-    f = ScalarField(dim, lambda pts: -anisotropic_laplacian(spec, u.jet(pts)),
-                    name=f"f-{family}-pointwise")
     return ManufacturedProblem(u, f, family)
 
 
@@ -341,7 +335,8 @@ def check_theorem_semilinear(ctx: KelvinContext, prob: ManufacturedProblem,
     At each plan point y, the left side applies the dual-norm divergence
     operator to the jet of u_hat = H^(2-N) u(T) and the right side evaluates
     (f o T)(y) / H(y)^(N+2).  Jets are analytic chain-rule jets unless
-    `jet_mode="numeric"` forces the finite-difference builder.
+    `jet_mode="numeric"` forces the finite-difference builder; a mode other
+    than "auto" or "numeric" is refused.
     """
     return _check_semilinear(ctx, [prob], plan, jet_mode, convergence)[0]
 
@@ -351,13 +346,14 @@ def _check_semilinear(ctx: KelvinContext, probs, plan: SamplePlan,
     """``check_theorem_semilinear`` of each problem (the fit is the first's);
     analytic jets share one ``kelvin._hat_jets`` pass per `_JET_BLOCK` rows."""
     _require_quadratic_form(ctx.spec, "the semilinear transform theorem")
+    numeric = _numeric(jet_mode)
     pts = plan.points(ctx.spec)
     h, t = _inversion(ctx.spec, pts)
 
     def lhs_of(jet):
         return -anisotropic_laplacian(ctx.dual, jet)
 
-    if jet_mode == "numeric" or not all(prob.u.has_jet for prob in probs):
+    if numeric or not all(prob.u.has_jet for prob in probs):
         columns = [[lhs_of(jet) for jet in
                     _jets(hat_transform(ctx, prob.u), pts, jet_mode)] for prob in probs]
     else:
@@ -665,7 +661,9 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
 
     Only mesh points inside the bump's support are evaluated.  The sums are
     exact (``math.fsum``), so the exact-zero terms dropped move no bit; a box
-    whose terms have no finite sum gets a NaN error, as with ``np.sum``.
+    whose terms have no finite sum gets a NaN error, as with ``np.sum``.  A
+    box whose source integral is exactly 0 is refused: its relative error
+    would read 1 whatever the lhs, so the source is computed first.
     """
     _require_quadratic_form(ctx.spec, "the weak-form cross-check")
     n = ctx.dim
@@ -685,15 +683,19 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
     ustar = star_transform(ctx, prob.u)
 
     errors = []
-    for c in centers:
+    for k, c in enumerate(centers):
         pts, psi, dpsi = _bump(mesh + c, c, _BUMP_RADIUS)
+        hy, t = _inversion(ctx.spec, pts)
+        rhs = _exact_sum(hy ** (-2 * n) * prob.f(t) * psi) * cell
+        if rhs == 0.0:
+            raise ValueError(f"the weak-form cross-check needs a source whose "
+                             f"integral is nonzero: box {k} at {c.tolist()} "
+                             f"integrates to exactly 0")
         p = np.stack([(ustar(pts + e) - ustar(pts - e)) / (2.0 * _WEAK_FD_STEP)
                       for e in _WEAK_FD_STEP * np.eye(n)], axis=-1)
-        hy, t = _inversion(ctx.spec, pts)
         hdual, gdual = ctx.dual.value_gradient(p)
         lhs = _exact_sum(hy ** (4 - 2 * n) * hdual
                          * row_sum(gdual * dpsi)) * cell
-        rhs = _exact_sum(hy ** (-2 * n) * prob.f(t) * psi) * cell
         errors.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return {
         "box_errors": errors,

@@ -11,7 +11,6 @@ from finslerkelvin import (
     RiemannianNorm,
     anisotropic_laplacian,
     constant_field,
-    cubic_axis_field,
     finsler_n_laplacian,
     gaussian_field,
     hat_transform,
@@ -46,7 +45,7 @@ def _fields(spec):
         "constant": constant_field(d, 2.5),
         "linear": linear_field(rng.standard_normal(d), 0.7),
         "quadratic": quad,
-        "cubic": cubic_axis_field(rng.standard_normal(d), a, rng.standard_normal(d)),
+        "cubic": linear_field(rng.standard_normal(d)) * quadratic_field(a, rng.standard_normal(d)),
         "gaussian": gauss,
         "norm_power": norm_power_field(spec, 2.0 - d),
         "sum": quad + gauss,

@@ -8,7 +8,6 @@ from finslerkelvin import (
     RiemannianNorm,
     ScalarField,
     constant_field,
-    cubic_axis_field,
     gaussian_field,
     linear_field,
     norm_power_field,
@@ -26,7 +25,7 @@ def sample_fields(dim):
         constant_field(dim, 2.5),
         linear_field(rng.standard_normal(dim), 0.7),
         quadratic_field(a, rng.standard_normal(dim), -0.3),
-        cubic_axis_field(rng.standard_normal(dim), a, rng.standard_normal(dim)),
+        linear_field(rng.standard_normal(dim)) * quadratic_field(a, rng.standard_normal(dim)),
         gaussian_field(0.3 * rng.standard_normal(dim), width=1.4, amplitude=2.0),
     ]
 

@@ -1,9 +1,8 @@
 """Five folds pinned bit for bit against the arithmetic they replaced.
 
-Constant and linear fields are quadratic fields, the cubic field is a cubic
-diagonal plus a quadratic tail, one power rule gives both the Hessian of H^p
-and the operator coefficient B = D^2(H^n)/n, the planar quasilinear operator
-is the divergence-form one, ``det_invariant`` reads H from the inversion map,
+Constant and linear fields are quadratic fields, one power rule gives both
+the Hessian of H^p and the operator coefficient B = D^2(H^n)/n, the planar
+quasilinear operator is the divergence-form one, ``det_invariant`` reads H from the inversion map,
 and finite-difference Hessians are symmetric without a symmetrisation.  Each
 old formula is rebuilt here.
 """
@@ -20,7 +19,6 @@ from finslerkelvin import (
     RiemannianNorm,
     anisotropic_laplacian,
     constant_field,
-    cubic_axis_field,
     det_invariant,
     finsler_n_laplacian,
     gaussian_field,
@@ -31,7 +29,7 @@ from finslerkelvin import (
     quadratic_field,
 )
 from finslerkelvin.fields import _power_curvature
-from finslerkelvin.norms import row_contract, row_dot, row_outer, row_sum
+from finslerkelvin.norms import row_contract, row_dot, row_outer
 from finslerkelvin.operators import _coefficient_matrix
 from finslerkelvin.verify import random_spd_matrix
 
@@ -71,26 +69,6 @@ def test_constant_and_linear_fields_keep_their_bits(d):
             assert _equal_jets(lin.jet(x), (row_dot(x, a) + k,
                                             np.broadcast_to(a, x.shape),
                                             zeros[1]))
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_cubic_axis_field_is_a_cubic_diagonal_plus_a_quadratic_tail(d):
-    rng = np.random.default_rng(80 + d)
-    a, b, c = (rng.standard_normal(d), rng.standard_normal((d, d)),
-               rng.standard_normal(d))
-    tail = quadratic_field(b, c)
-    for x in _points(d, 10 + d):
-        x2, tj = x * x, tail.jet(x)
-        hess = np.zeros(x.shape + (d,))
-        idx = np.arange(d)
-        hess[..., idx, idx] = 6.0 * a * x
-        want = (row_sum(a * (x2 * x)) + tj.value, 3.0 * a * x2 + tj.gradient,
-                hess + tj.hessian)
-        field = cubic_axis_field(a, b, c)
-        assert field.name == "cubic"
-        assert np.array_equal(field(x), row_sum(a * x**3) + tail(x))
-        assert _equal_jets(field.jet(x), want)
-    assert cubic_axis_field(a, name="u").name == "u"
 
 
 # -- one power rule -----------------------------------------------------------
@@ -188,8 +166,8 @@ def _fd_fields(d):
     rng = np.random.default_rng(90 + d)
     spec = RiemannianNorm(random_spd_matrix(d, seed=90 + d))
     return [gaussian_field(0.3 * rng.standard_normal(d), width=1.3),
-            cubic_axis_field(rng.standard_normal(d), rng.standard_normal((d, d)),
-                             rng.standard_normal(d)),
+            linear_field(rng.standard_normal(d)) * quadratic_field(
+                rng.standard_normal((d, d)), rng.standard_normal(d)),
             norm_power_field(spec, 2.0 - d),
             norm_power_field(EuclideanNorm(d), -1.5)]
 

@@ -16,7 +16,6 @@ from finslerkelvin import (
     ScalarField,
     anisotropic_laplacian,
     constant_field,
-    cubic_axis_field,
     finsler_n_laplacian,
     gaussian_field,
     hat_transform,
@@ -49,8 +48,8 @@ def _jet_parts(j):
 
 def _pair(d):
     rng = np.random.default_rng(40 + d)
-    u = cubic_axis_field(rng.standard_normal(d), rng.standard_normal((d, d)),
-                         rng.standard_normal(d))
+    u = linear_field(rng.standard_normal(d)) * quadratic_field(
+        rng.standard_normal((d, d)), rng.standard_normal(d))
     v = gaussian_field(0.3 * rng.standard_normal(d), width=1.3, amplitude=-1.5)
     return u, v
 

@@ -44,3 +44,11 @@ def test_report_exports_the_gate_record():
                               "ResidualReport", "residuals", "residual_rows",
                               "render_json", "render_csv", "render_table"]
     assert finslerkelvin.Gate is report.Gate
+
+
+def test_fields_exports_the_constructors():
+    from finslerkelvin import fields
+
+    assert fields.__all__ == ["ScalarField", "constant_field", "linear_field",
+                              "quadratic_field", "gaussian_field",
+                              "norm_power_field"]

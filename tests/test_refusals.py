@@ -24,6 +24,7 @@ from finslerkelvin import (
 )
 from finslerkelvin.cli import EXIT_CONFIG, main
 from finslerkelvin.norms import NormSpec
+from finslerkelvin.sampling import halton
 from finslerkelvin.verify import SamplePlan, random_spd_matrix
 
 # -- the calculus ---------------------------------------------------------------
@@ -153,6 +154,39 @@ def test_cli_refuses_an_annulus_outside_floating_point_range(argv, suite, packag
     assert len(lines) == 1, proc.stderr  # no traceback, no numpy warning
     assert lines[0].startswith(f"error: {suite}: annulus ")
     assert "is outside floating-point range for " in lines[0]
+
+
+# -- the sample plan refuses a Halton index past int64 -----------------------------
+
+
+def test_plan_refuses_a_seed_past_the_last_halton_index():
+    last = np.iinfo(np.int64).max
+    # seed * count + 2 .. (seed + 1) * count + 1 are the plan's indices
+    pts = SamplePlan(count=1, seed=last - 2).points(EuclideanNorm(3))
+    assert pts.shape == (1, 3) and np.all(np.isfinite(pts))
+    for count, seed in ((1, last - 1), (10, 99999999999999999999), (2, last // 2)):
+        stop = 1 + (seed + 1) * count
+        with pytest.raises(ValueError, match=f"^seed {seed} with count {count} reaches "
+                                             f"Halton index {stop}, past the last one, "
+                                             f"{last}$"):
+            SamplePlan(count=count, seed=seed)
+    assert halton(1, 2, skip=last - 1).shape == (1, 2)
+    with pytest.raises(ValueError, match=f"^halton indices end at {last}, "
+                                         f"got skip \\+ count = {last + 1}$"):
+        halton(1, 2, skip=last)
+
+
+def test_cli_refuses_a_seed_past_the_last_halton_index(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["identities", "--count", "10", "--seed", "99999999999999999999",
+            "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: seed 99999999999999999999 with count 10 reaches "
+                            "Halton index 1000000000000000000001, past the last one, "
+                            f"{np.iinfo(np.int64).max}\n")
+    assert not out.exists()
 
 
 # -- the command line ---------------------------------------------------------------

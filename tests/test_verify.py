@@ -120,16 +120,22 @@ def test_manufacture_affine_zero_source(rng):
         assert prob.f(x) == 0.0
 
 
+SEMILINEAR_FAMILIES = ("quadratic", "gaussian-bump", "affine")
+
+
 def test_manufacture_source_matches_operator(rng):
-    # the defining invariant: f == -(divergence-form operator of u's jet)
+    # the defining invariant: f == -(divergence-form operator of u's jet),
+    # with f closed-form: an analytic jet, not the operator evaluated pointwise
     specs = [EuclideanNorm(3), RiemannianNorm(random_spd_matrix(3, seed=6)),
-             QuarticNorm()]
+             RiemannianNorm(random_spd_matrix(4, 0))]
     for spec in specs:
-        for family in ("quadratic", "gaussian-bump", "poly3"):
+        for family in SEMILINEAR_FAMILIES:
             prob = manufacture_semilinear(spec, family)
+            assert prob.u.has_jet and prob.f.has_jet, (spec.canonical(), family)
             for x in rng.uniform(0.4, 1.5, size=(8, spec.dim)):
                 direct = -anisotropic_laplacian(spec, prob.u.jet(x))
                 assert prob.f(x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+                assert prob.f.jet(x).value == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_manufacture_gaussian_fd_divergence(rng):
@@ -214,10 +220,27 @@ def test_semilinear_source_scaling_linearity():
 
 
 def test_semilinear_requires_quadratic_form_norm():
-    ctx = KelvinContext(QuarticNorm())
-    prob = manufacture_semilinear(QuarticNorm(), "quadratic")
+    for family in SEMILINEAR_FAMILIES:
+        with pytest.raises(ValueError, match="^a manufactured semilinear source "
+                                             "assumes a quadratic-form .* got quartic$"):
+            manufacture_semilinear(QuarticNorm(), family)
+    prob = ManufacturedProblem(quadratic_field(np.eye(2)), constant_field(2, -4.0),
+                               "quadratic")
     with pytest.raises(ValueError, match="quadratic-form"):
-        check_theorem_semilinear(ctx, prob, SamplePlan())
+        check_theorem_semilinear(KelvinContext(QuarticNorm()), prob, SamplePlan())
+
+
+@pytest.mark.parametrize("mode", ["numerical", "analytic", "Auto", ""])
+def test_theorem_checks_refuse_an_unknown_jet_mode(mode):
+    spec = EuclideanNorm(3)
+    ctx, plan = KelvinContext(spec), SamplePlan(count=10)
+    message = f"^jet_mode must be 'auto' or 'numeric', got {mode!r}$"
+    with pytest.raises(ValueError, match=message):
+        check_theorem_semilinear(ctx, manufacture_semilinear(spec), plan, jet_mode=mode)
+    with pytest.raises(ValueError, match=message):
+        check_theorem_nlaplace(ctx, *manufacture_nlaplace(spec), plan, jet_mode=mode)
+    with pytest.raises(ValueError, match=message):
+        next(verify._jets(quadratic_field(np.eye(3)), plan.points(spec), mode))
 
 
 @pytest.mark.parametrize("spec", [
@@ -468,6 +491,21 @@ def test_weak_form_crosscheck():
         out = weak_form_crosscheck(ctx, prob)
         assert len(out["box_errors"]) == 5
         assert out["worst"] <= 1e-2
+
+
+@pytest.mark.parametrize("spec", [EuclideanNorm(3), RiemannianNorm(random_spd_matrix(4, 0))],
+                         ids=["euclidean:3", "random_spd_matrix(4,0)"])
+def test_weak_form_crosscheck_refuses_a_vanishing_source(spec):
+    # a zero rhs would saturate every box error at 1 (the affine family), and a
+    # constant u would give 0/0 in the dual gradient before that
+    n = spec.dim
+    constant = ManufacturedProblem(constant_field(n, 1.0), constant_field(n, 0.0),
+                                   "constant")
+    for prob in (manufacture_semilinear(spec, "affine"), constant):
+        with pytest.raises(ValueError, match=r"^the weak-form cross-check needs a source "
+                                             r"whose integral is nonzero: box 0 at \[.*\] "
+                                             r"integrates to exactly 0$"):
+            weak_form_crosscheck(KelvinContext(spec), prob)
 
 
 def test_weak_form_crosscheck_refuses_a_mesh_above_its_limit(monkeypatch):
