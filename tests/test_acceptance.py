@@ -5,6 +5,8 @@ failure) and asserts the same condition, so the suite doubles as a
 machine-checked checklist of the package's external guarantees.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from finslerkelvin import (
@@ -13,6 +15,7 @@ from finslerkelvin import (
     QuarticNorm,
     RiemannianNorm,
     SamplePlan,
+    ScalarField,
     check_fundamental_solution,
     check_proof_identities,
     check_theorem_nlaplace,
@@ -26,6 +29,7 @@ from finslerkelvin import (
     reflection_determinant,
     run_counterexample_scan,
     run_identity_suite,
+    run_semilinear_suite,
     weak_form_crosscheck,
 )
 from finslerkelvin.cli import EXIT_PASS, RunConfig, run
@@ -132,10 +136,7 @@ def test_criterion_5_semilinear_theorem():
 
     worst_order = np.inf
     for spec in (EuclideanNorm(3), pinned_riemannian(3, 500)):
-        ctx = KelvinContext(spec)
-        prob = manufacture_semilinear(spec, "quadratic")
-        rep = check_theorem_semilinear(ctx, prob, PLAN, jet_mode="numeric",
-                                       convergence=True)
+        rep = run_semilinear_suite(spec, PLAN)
         worst_order = min(worst_order, rep.convergence["order"])
     gate("criterion 5b: numeric-jet convergence order", worst_order, 1.8,
          larger_is_better=True)
@@ -153,17 +154,17 @@ def test_criterion_6_quasilinear_theorem():
     worst_zero = 0.0
     for spec in (EuclideanNorm(3), pinned_riemannian(3, 600)):
         ctx = KelvinContext(spec)
-        u, g = manufacture_nlaplace(spec, "affine")
-        rep = check_theorem_nlaplace(ctx, u, g, PLAN, tolerance=1e-5)
+        rep = check_theorem_nlaplace(ctx, manufacture_nlaplace(spec, "affine"), PLAN,
+                                     tolerance=1e-5)
         worst_zero = max(worst_zero, rep.max_rel_residual())
     gate("criterion 6a: quasilinear affine zero case", worst_zero, 1e-5)
 
     worst = 0.0
     for spec in (EuclideanNorm(3), pinned_riemannian(3, 601)):
         ctx = KelvinContext(spec)
-        u, g = manufacture_nlaplace(spec, "quadratic")
-        for mode in ("auto", "numeric"):
-            rep = check_theorem_nlaplace(ctx, u, g, PLAN, jet_mode=mode)
+        prob = manufacture_nlaplace(spec, "quadratic")
+        for p in (prob, replace(prob, u=ScalarField(3, prob.u))):  # analytic, FD
+            rep = check_theorem_nlaplace(ctx, p, PLAN)
             worst = max(worst, rep.max_rel_residual())
     gate("criterion 6b: quasilinear quadratic residual", worst, 1e-4)
 
@@ -173,7 +174,7 @@ def test_criterion_7_fundamental_solution():
     for dim in (3, 4):
         for k in range(5):
             spec = pinned_riemannian(dim, seed=700 + 10 * dim + k)
-            rep = check_fundamental_solution(spec, PLAN)
+            rep = check_fundamental_solution(KelvinContext(spec), PLAN)
             worst = max(worst, rep.max_rel_residual())
     gate("criterion 7: dual-harmonicity of H^(2-N)", worst, 1e-6)
 
@@ -181,7 +182,8 @@ def test_criterion_7_fundamental_solution():
 def test_criterion_8_proof_identities():
     worst = 0.0
     for dim, seed in ((2, 800), (3, 801), (4, 802)):
-        rep = check_proof_identities(pinned_riemannian(dim, seed), PLAN)
+        rep = check_proof_identities(KelvinContext(pinned_riemannian(dim, seed)),
+                                     PLAN)
         worst = max(worst, rep.details["norm_transport"],
                     rep.details["gradient_transport"])
     gate("criterion 8: proof transport identities", worst, 1e-8)

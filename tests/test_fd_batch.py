@@ -3,8 +3,9 @@
 `reference_numeric_jet` is the one-point stencil builder that the batched
 ``numeric_jet`` replaced: same steps, offset table, Richardson levels, error
 estimates and refusals.  A batch row must equal that point's reference jet
-byte for byte, and the theorem checks in numeric mode must reproduce the
-rows of the point-by-point loop they replaced.
+byte for byte, and the theorem checks on a value-only problem (u without
+an analytic jet, so FD jets) must reproduce the rows of the point-by-point
+loop they replaced.
 """
 
 import math
@@ -18,6 +19,7 @@ from finslerkelvin import (
     EuclideanNorm,
     Jet2,
     KelvinContext,
+    ManufacturedProblem,
     QuarticNorm,
     RiemannianNorm,
     SamplePlan,
@@ -34,6 +36,7 @@ from finslerkelvin import (
     manufacture_semilinear,
     numeric_jet,
     quadratic_field,
+    run_semilinear_suite,
     star_transform,
 )
 from finslerkelvin import verify
@@ -125,7 +128,7 @@ def _transforms(spec):
               gaussian_field(0.3 * rng.standard_normal(d), width=1.3,
                              amplitude=-0.8)]
     if d >= 3:
-        fields.append(manufacture_nlaplace(spec, "quadratic")[0])
+        fields.append(manufacture_nlaplace(spec, "quadratic").u)
     return [t(ctx, u) for u in fields for t in (star_transform, hat_transform)]
 
 
@@ -227,21 +230,27 @@ def test_quartic_transform_jets_take_a_batch(rng):
 
 
 # ---------------------------------------------------------------------------
-# theorem checks in numeric mode against the point-by-point loop
+# theorem checks on value-only problems against the point-by-point loop
 
 PLAN = SamplePlan(count=150, seed=4)  # more rows than one FD block
+
+
+def _value_only(prob):
+    """The problem with u's values only: the checks take FD jets of it."""
+    return replace(prob, u=ScalarField(prob.u.dim, prob.u, name=prob.u.name))
 
 
 @pytest.mark.parametrize("spec", THEOREM_SPECS)
 def test_numeric_nlaplace_rows_equal_the_point_loop(spec):
     ctx = KelvinContext(spec)
     n = spec.dim
-    u, g = manufacture_nlaplace(spec, "quadratic")
-    rep = check_theorem_nlaplace(ctx, u, g, PLAN, jet_mode="numeric")
-    ustar = star_transform(ctx, u)
+    prob = manufacture_nlaplace(spec, "quadratic")
+    rep = check_theorem_nlaplace(ctx, _value_only(prob), PLAN)
+    assert rep.details["jet_path"] == "fd"
+    ustar = star_transform(ctx, prob.u)
     pts = PLAN.points(spec)
     h = np.asarray(spec.value(pts))
-    rhs = np.asarray(g(kelvin_map(ctx, pts))) / h ** (2 * n)
+    rhs = np.asarray(prob.f(kelvin_map(ctx, pts))) / h ** (2 * n)
     assert len(rep.rows) == len(pts)
     for row, y, r in zip(row_tuples(rep.rows), pts, rhs):
         point, row_lhs, row_rhs, _, _, flag = row
@@ -258,8 +267,9 @@ def test_numeric_semilinear_rows_and_convergence_equal_the_point_loop(spec):
     ctx = KelvinContext(spec)
     n = spec.dim
     prob = manufacture_semilinear(spec, "quadratic")
-    rep = check_theorem_semilinear(ctx, prob, PLAN, jet_mode="numeric",
-                                   convergence=True)
+    rep = check_theorem_semilinear(ctx, _value_only(prob), PLAN)
+    assert rep.details["jet_path"] == "fd"
+    convergence = run_semilinear_suite(spec, PLAN).convergence
     uhat = hat_transform(ctx, prob.u)
     pts = PLAN.points(spec)
     h = np.asarray(spec.value(pts))
@@ -273,12 +283,12 @@ def test_numeric_semilinear_rows_and_convergence_equal_the_point_loop(spec):
         (lhs_of(y), float(r)) for y, r in zip(pts, rhs)]
     sel = np.argsort([-float(p @ p) for p in pts])[:5]
     maxres = []
-    for step in rep.convergence["steps"]:
+    for step in convergence["steps"]:
         worst = 0.0
         for y, r in zip(pts[sel], rhs[sel]):
             worst = max(worst, abs(lhs_of(y, step=step, refinement=1) - r))
         maxres.append(worst)
-    assert rep.convergence["max_residuals"] == maxres
+    assert convergence["max_residuals"] == maxres
 
 
 def test_numeric_nlaplace_makes_two_field_calls_per_block():
@@ -290,15 +300,15 @@ def test_numeric_nlaplace_makes_two_field_calls_per_block():
         calls.append(len(p))
         return base(p)
 
-    u = ScalarField(3, evaluate, jet=base.jet, name="counted")
-    rep = check_theorem_nlaplace(KelvinContext(spec), u, constant_field(3, 0.0),
-                                 SamplePlan(count=300), jet_mode="numeric")
+    prob = ManufacturedProblem(ScalarField(3, evaluate, name="counted"),
+                               constant_field(3, 0.0), "counted")
+    rep = check_theorem_nlaplace(KelvinContext(spec), prob, SamplePlan(count=300))
     assert len(rep.rows) == 300
     assert len(calls) <= 2 * math.ceil(300 / verify._FD_BLOCK)
 
 
 # ---------------------------------------------------------------------------
-# a field without an analytic jet takes FD jets under "auto" too
+# FD jets exactly when u has no analytic jet, and the report says which
 
 JETLESS_PLAN = SamplePlan(count=1500)  # more rows than one block of either size
 
@@ -319,25 +329,25 @@ def _column_bytes(rows):
 
 @pytest.mark.parametrize("spec", [EuclideanNorm(3), SPECS[-1]],
                          ids=["euclidean:3", "spd4"])
-def test_a_jetless_field_takes_fd_jets_in_auto_mode(spec):
+def test_a_value_only_problem_takes_fd_jets_and_says_so(spec):
     ctx = KelvinContext(spec)
     n = spec.dim
     pts = JETLESS_PLAN.points(spec)
-
-    prob = manufacture_semilinear(spec, "quadratic")
-    bare = replace(prob, u=ScalarField(n, prob.u._evaluate))
-    rep = check_theorem_semilinear(ctx, bare, JETLESS_PLAN)
-    lhs = _fd_lhs(hat_transform(ctx, bare.u), pts,
-                  lambda j: -anisotropic_laplacian(ctx.dual, j))
-    assert rep.rows.lhs.tobytes() == lhs.tobytes()
-    assert _column_bytes(rep.rows) == _column_bytes(check_theorem_semilinear(
-        ctx, bare, JETLESS_PLAN, jet_mode="numeric").rows)
-
-    u, g = manufacture_nlaplace(spec, "quadratic")
-    bare = ScalarField(n, u._evaluate)
-    rep = check_theorem_nlaplace(ctx, bare, g, JETLESS_PLAN)
-    lhs = _fd_lhs(star_transform(ctx, bare), pts,
-                  lambda j: -finsler_n_laplacian(ctx.dual, j, n))
-    assert rep.rows.lhs.tobytes() == lhs.tobytes()
-    assert _column_bytes(rep.rows) == _column_bytes(check_theorem_nlaplace(
-        ctx, bare, g, JETLESS_PLAN, jet_mode="numeric").rows)
+    checks = [
+        (check_theorem_semilinear, manufacture_semilinear, hat_transform,
+         lambda j: -anisotropic_laplacian(ctx.dual, j)),
+        (check_theorem_nlaplace, manufacture_nlaplace, star_transform,
+         lambda j: -finsler_n_laplacian(ctx.dual, j, n)),
+    ]
+    for check, manufacture, transform, lhs_of_jet in checks:
+        prob = manufacture(spec, "quadratic")
+        bare = replace(prob, u=ScalarField(n, prob.u._evaluate))
+        rep = check(ctx, bare, JETLESS_PLAN)
+        assert rep.details == {"family": "quadratic", "jet_path": "fd"}
+        lhs = _fd_lhs(transform(ctx, bare.u), pts, lhs_of_jet)
+        assert rep.rows.lhs.tobytes() == lhs.tobytes()
+        # u's values alone, through the field or its evaluate callable
+        assert _column_bytes(rep.rows) == _column_bytes(
+            check(ctx, _value_only(prob), JETLESS_PLAN).rows)
+        assert check(ctx, prob, JETLESS_PLAN).details == {
+            "family": "quadratic", "jet_path": "analytic"}

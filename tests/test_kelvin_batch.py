@@ -175,7 +175,7 @@ def test_counterexample_scan_equals_the_direction_loop(text):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_proof_identity_rows_equal_the_point_loop(spec):
-    rep = check_proof_identities(spec, PLAN)
+    rep = check_proof_identities(KelvinContext(spec), PLAN)
     rows, details = reference_proof_identities(spec, PLAN)
     assert row_tuples(rep.rows, ROW_CELLS) == rows
     assert all(getattr(rep.rows, c).dtype == np.float64 for c in ROW_CELLS)
@@ -200,8 +200,9 @@ def test_proof_identities_call_the_jacobian_a_fixed_number_of_times(monkeypatch)
 
     monkeypatch.setattr(verify, "jacobian_matrix", counted)
     counts = []
+    ctx = KelvinContext(spec)
     for count in (10, 300):
         calls.clear()
-        assert check_proof_identities(spec, SamplePlan(count=count)).passed
+        assert check_proof_identities(ctx, SamplePlan(count=count)).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -52,3 +53,24 @@ def test_fields_exports_the_constructors():
     assert fields.__all__ == ["ScalarField", "constant_field", "linear_field",
                               "quadratic_field", "gaussian_field",
                               "norm_power_field"]
+
+
+def test_verify_exports_the_checks_with_one_signature():
+    from finslerkelvin import verify
+
+    assert verify.__all__ == [
+        "SamplePlan", "ManufacturedProblem", "random_spd_matrix",
+        "manufacture_semilinear", "manufacture_nlaplace",
+        "check_theorem_semilinear", "check_theorem_nlaplace",
+        "check_fundamental_solution", "check_proof_identities",
+        "run_identity_suite", "run_kelvin_suite", "run_counterexample_scan",
+        "run_semilinear_suite", "run_nlaplace_suite", "weak_form_crosscheck",
+        "QUARTIC_SPREAD_MIN"]
+    params = {name: list(inspect.signature(getattr(verify, name)).parameters)
+              for name in verify.__all__ if name.startswith("check_")}
+    assert params == {
+        "check_theorem_semilinear": ["ctx", "prob", "plan"],
+        "check_theorem_nlaplace": ["ctx", "prob", "plan", "tolerance"],
+        "check_fundamental_solution": ["ctx", "plan"],
+        "check_proof_identities": ["ctx", "plan"],
+    }

@@ -42,10 +42,19 @@ def test_no_module_but_norms_asks_a_norm_for_its_class():
                        "class: " + ", ".join(found))
 
 
+def _calls_numeric_jet(node) -> bool:
+    return any(isinstance(n, ast.Call) and "numeric_jet" in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(node))
+
+
 def test_only_verify_chooses_finite_difference_jets():
-    """``kelvin`` imports nothing from ``operators``, and outside
-    ``operators.py`` only ``verify.py`` calls ``numeric_jet``: a transform
-    carries an analytic jet or none, and ``verify._jets`` picks FD."""
+    """``kelvin`` imports nothing from ``operators``; outside
+    ``operators.py`` only ``verify.py`` calls ``numeric_jet``, and inside it
+    only ``_jets`` (the checks' jets) and ``_convergence_study`` (the
+    fixed-step fit) do; no function in ``src/`` takes a ``jet_mode``.  A
+    transform carries an analytic jet or none, and FD runs exactly when the
+    field has none."""
     kelvin = PACKAGE / "kelvin.py"
     imports = [node.lineno for node in ast.walk(ast.parse(kelvin.read_text()))
                if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -53,14 +62,24 @@ def test_only_verify_chooses_finite_difference_jets():
                        [getattr(node, "module", None) or "",
                         *(alias.name for alias in node.names)])]
     assert not imports, f"kelvin.py imports from operators at lines {imports}"
-    calls = [f"{path.name}:{node.lineno}"
-             for path in sorted(PACKAGE.glob("*.py"))
+    sources = sorted(PACKAGE.parent.rglob("*.py"))
+    assert PACKAGE / "verify.py" in sources
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    calls = [path.name for path, tree in trees.items()
              if path.name not in ("operators.py", "verify.py")
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Call)
-             and "numeric_jet" in (getattr(node.func, "id", None),
-                                   getattr(node.func, "attr", None))]
+             and _calls_numeric_jet(tree)]
     assert not calls, "numeric_jet called outside verify.py: " + ", ".join(calls)
+    callers = {getattr(node, "name", f"<module line {node.lineno}>")
+               for node in trees[PACKAGE / "verify.py"].body
+               if _calls_numeric_jet(node)}
+    assert callers == {"_jets", "_convergence_study"}
+    knobs = [f"{path.name}:{node.lineno}" for path, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and "jet_mode" in {a.arg for a in (
+                 *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                 node.args.vararg, node.args.kwarg) if a is not None}]
+    assert not knobs, "a jet_mode parameter at " + ", ".join(knobs)
 
 
 def test_euclidean_is_the_identity_riemannian_norm_with_its_own_form():

@@ -1,6 +1,7 @@
 """Sample plans, manufactured problems, and the residual suites."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from finslerkelvin import (
     equivalence_constants,
     finsler_n_laplacian,
     kelvin_map,
+    linear_field,
     manufacture_nlaplace,
     manufacture_semilinear,
     quadratic_field,
@@ -161,7 +163,7 @@ def test_manufacture_rejects_unknown_family():
 
 def test_manufacture_nlaplace_source_values(rng):
     # Euclidean N=3, u = |x|^2/2: operator div(|x| x) = 4|x|, so g = -4|x|
-    u, g = manufacture_nlaplace(EuclideanNorm(3), "quadratic")
+    g = manufacture_nlaplace(EuclideanNorm(3), "quadratic").f
     for x in rng.uniform(-1.5, 1.5, size=(10, 3)):
         assert g(x) == pytest.approx(-4.0 * np.linalg.norm(x), rel=1e-12)
 
@@ -194,12 +196,14 @@ def test_semilinear_riemannian_quadratic():
 def test_semilinear_numeric_jets_and_order():
     spec = RiemannianNorm(random_spd_matrix(3, seed=1))
     ctx = KelvinContext(spec)
-    rep = check_theorem_semilinear(ctx, manufacture_semilinear(spec, "quadratic"),
-                                   SamplePlan(), jet_mode="numeric",
-                                   convergence=True)
+    prob = manufacture_semilinear(spec, "quadratic")
+    value_only = replace(prob, u=ScalarField(3, prob.u))
+    rep = check_theorem_semilinear(ctx, value_only, SamplePlan())
+    assert rep.details == {"family": "quadratic", "jet_path": "fd"}
     assert rep.max_rel_residual() <= 1e-5
-    assert rep.convergence["order"] >= 1.8
-    res = rep.convergence["max_residuals"]
+    convergence = run_semilinear_suite(spec, SamplePlan()).convergence
+    assert convergence["order"] >= 1.8
+    res = convergence["max_residuals"]
     assert res[0] > res[1] > res[2]
 
 
@@ -230,19 +234,6 @@ def test_semilinear_requires_quadratic_form_norm():
         check_theorem_semilinear(KelvinContext(QuarticNorm()), prob, SamplePlan())
 
 
-@pytest.mark.parametrize("mode", ["numerical", "analytic", "Auto", ""])
-def test_theorem_checks_refuse_an_unknown_jet_mode(mode):
-    spec = EuclideanNorm(3)
-    ctx, plan = KelvinContext(spec), SamplePlan(count=10)
-    message = f"^jet_mode must be 'auto' or 'numeric', got {mode!r}$"
-    with pytest.raises(ValueError, match=message):
-        check_theorem_semilinear(ctx, manufacture_semilinear(spec), plan, jet_mode=mode)
-    with pytest.raises(ValueError, match=message):
-        check_theorem_nlaplace(ctx, *manufacture_nlaplace(spec), plan, jet_mode=mode)
-    with pytest.raises(ValueError, match=message):
-        next(verify._jets(quadratic_field(np.eye(3)), plan.points(spec), mode))
-
-
 @pytest.mark.parametrize("spec", [
     EuclideanNorm(3), RiemannianNorm(random_spd_matrix(4, 0))],
     ids=["euclidean:3", "random_spd_matrix(4,0)"])
@@ -251,13 +242,17 @@ def test_the_shared_semilinear_pass_gives_the_per_family_rows(spec):
     plan = SamplePlan(count=2500, seed=100)
     ctx = KelvinContext(spec)
     suite = run_semilinear_suite(spec, plan)
-    single = [check_theorem_semilinear(ctx, manufacture_semilinear(spec, family),
-                                       plan, convergence=(family == "quadratic"))
+    single = [check_theorem_semilinear(ctx, manufacture_semilinear(spec, family), plan)
               for family in ("quadratic", "gaussian-bump")]
     for column in ("points", "lhs", "rhs", "abs_residual", "rel_residual", "flags"):
         joined = np.concatenate([getattr(rep.rows, column) for rep in single])
         assert getattr(suite.rows, column).tobytes() == joined.tobytes(), column
-    assert suite.convergence == single[0].convergence
+    # the suite runs the step study itself and tags its gate after the
+    # quadratic family's max_rel
+    assert all(rep.convergence is None for rep in single)
+    assert [g.name for g in suite.gates][:3] == [
+        "max_rel[quadratic]", "fd_order[quadratic]", "max_rel[gaussian-bump]"]
+    assert suite.gates[1].value == suite.convergence["order"]
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +262,8 @@ def test_the_shared_semilinear_pass_gives_the_per_family_rows(spec):
 def test_nlaplace_affine_zero_case():
     spec = RiemannianNorm(random_spd_matrix(3, seed=3))
     ctx = KelvinContext(spec)
-    u, g = manufacture_nlaplace(spec, "affine")
-    rep = check_theorem_nlaplace(ctx, u, g, SamplePlan(), tolerance=1e-5)
+    rep = check_theorem_nlaplace(ctx, manufacture_nlaplace(spec, "affine"),
+                                 SamplePlan(), tolerance=1e-5)
     assert rep.max_rel_residual() <= 1e-5
     assert rep.passed
 
@@ -277,9 +272,9 @@ def test_nlaplace_euclidean_halfsquare_values():
     # lhs and rhs both equal -4 |y|^(-7) pointwise
     spec = EuclideanNorm(3)
     ctx = KelvinContext(spec)
-    u, g = manufacture_nlaplace(spec, "quadratic")
+    prob = manufacture_nlaplace(spec, "quadratic")
     plan = SamplePlan(count=25)
-    rep = check_theorem_nlaplace(ctx, u, g, plan, jet_mode="numeric")
+    rep = check_theorem_nlaplace(ctx, replace(prob, u=ScalarField(3, prob.u)), plan)
     assert rep.max_rel_residual() <= 1e-4
     for point, lhs, rhs in row_tuples(rep.rows, ("points", "lhs", "rhs")):
         expected = -4.0 * np.linalg.norm(point) ** -7
@@ -290,10 +285,10 @@ def test_nlaplace_euclidean_halfsquare_values():
 def test_nlaplace_riemannian_quadratic():
     spec = RiemannianNorm(random_spd_matrix(3, seed=17))
     ctx = KelvinContext(spec)
-    u, g = manufacture_nlaplace(spec, "quadratic")
-    for mode in ("auto", "numeric"):
-        rep = check_theorem_nlaplace(ctx, u, g, SamplePlan(), jet_mode=mode)
-        assert rep.max_rel_residual() <= 1e-4, mode
+    prob = manufacture_nlaplace(spec, "quadratic")
+    for p in (prob, replace(prob, u=ScalarField(3, prob.u))):
+        rep = check_theorem_nlaplace(ctx, p, SamplePlan())
+        assert rep.max_rel_residual() <= 1e-4, rep.details
         assert rep.passed
 
 
@@ -311,19 +306,32 @@ def test_nlaplace_flags_degenerate_gradient():
         out = [-finsler_n_laplacian(spec, u.jet(x), 3) for x in flat]
         return np.array(out).reshape(np.shape(pts)[:-1])
 
-    g = ScalarField(3, source)
-    rep = check_theorem_nlaplace(ctx, u, g, plan)
+    prob = ManufacturedProblem(u, ScalarField(3, source), "critical")
+    rep = check_theorem_nlaplace(ctx, prob, plan)
     assert rep.rows.flags[0]
     assert rep.flagged_count() == 1
     assert rep.max_rel_residual() <= 1e-4  # flagged row excluded
 
 
 def test_nlaplace_requires_dim_at_least_3():
-    spec = EuclideanNorm(2)
-    ctx = KelvinContext(spec)
-    u, g = manufacture_nlaplace(spec, "affine")
+    ctx = KelvinContext(EuclideanNorm(2))
+    prob = ManufacturedProblem(linear_field(np.array([1.0, 2.0])),
+                               constant_field(2, 0.0), "affine")
     with pytest.raises(ValueError, match="dimension >= 3"):
-        check_theorem_nlaplace(ctx, u, g, SamplePlan())
+        check_theorem_nlaplace(ctx, prob, SamplePlan())
+
+
+@pytest.mark.parametrize("spec, message", [
+    (QuarticNorm(), "^a manufactured quasilinear source assumes a quadratic-form "
+                    r"\(riemannian or euclidean\) norm, got quartic$"),
+    (EuclideanNorm(2), "^the quasilinear transform theorem needs dimension >= 3$"),
+    (RiemannianNorm(random_spd_matrix(2, 0)),
+     "^the quasilinear transform theorem needs dimension >= 3$"),
+], ids=["quartic", "euclidean:2", "random_spd_matrix(2,0)"])
+def test_manufacture_nlaplace_refuses_what_the_check_refuses(spec, message):
+    for family in ("quadratic", "affine", "sinusoid"):
+        with pytest.raises(ValueError, match=message):
+            manufacture_nlaplace(spec, family)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +342,25 @@ def test_fundamental_solution_random_spd():
     for dim in (3, 4):
         for seed in (0, 1):
             spec = RiemannianNorm(random_spd_matrix(dim, seed=seed))
-            rep = check_fundamental_solution(spec, SamplePlan())
+            rep = check_fundamental_solution(KelvinContext(spec), SamplePlan())
             assert rep.max_rel_residual() <= 1e-6
             assert rep.passed
+
+
+@pytest.mark.parametrize("spec", [
+    EuclideanNorm(2), RiemannianNorm(random_spd_matrix(2, 0))],
+    ids=["euclidean:2", "random_spd_matrix(2,0)"])
+def test_fundamental_solution_refuses_the_plane(spec):
+    # H^(2-N) is the constant 1 at N = 2, which every operator annihilates
+    with pytest.raises(ValueError, match="^the fundamental-solution check needs "
+                                         "dimension >= 3$"):
+        check_fundamental_solution(KelvinContext(spec), SamplePlan(count=50))
 
 
 def test_proof_identities_random_spd():
     for dim, seed in ((2, 0), (3, 1), (4, 2)):
         spec = RiemannianNorm(random_spd_matrix(dim, seed=seed))
-        rep = check_proof_identities(spec, SamplePlan())
+        rep = check_proof_identities(KelvinContext(spec), SamplePlan())
         assert rep.details["norm_transport"] <= 1e-8
         assert rep.details["gradient_transport"] <= 1e-8
         assert rep.passed
@@ -592,7 +610,8 @@ def test_a_nan_identity_fails_the_identity_suite():
 def test_a_nan_gradient_transport_fails_the_proof_identities(monkeypatch):
     spec = RiemannianNorm(random_spd_matrix(3, seed=8))
     plan = SamplePlan(count=10)
-    assert check_proof_identities(spec, plan).passed
+    ctx = KelvinContext(spec)
+    assert check_proof_identities(ctx, plan).passed
     jacobian_matrix = verify.jacobian_matrix
 
     def planted(ctx, x):
@@ -602,7 +621,7 @@ def test_a_nan_gradient_transport_fails_the_proof_identities(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "jacobian_matrix", planted)
-    rep = check_proof_identities(spec, plan)
+    rep = check_proof_identities(ctx, plan)
     assert math.isnan(rep.details["gradient_transport"])
     assert not math.isnan(rep.details["norm_transport"])
     assert math.isnan(rep.rows.rel_residual[1])
