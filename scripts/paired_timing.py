@@ -8,6 +8,11 @@ runs the configuration once on each side, back to back, and the side that
 goes first alternates from round to round.  Both workers run one warm-up
 call first, which is not counted.
 
+With ``--fresh`` every call runs in a new interpreter instead, timed around
+``cli.run`` as ``perfbench/child.py`` times it, so that one-time costs (a
+table built on first use, the first call of a numpy loop) are counted as
+the benchmark counts them; a warm worker pays them once and hides them.
+
 The paired ratio change/base of one round cancels the drift that two runs
 minutes apart share (load from other processes, CPU frequency), which
 unpaired medians do not.  The script prints each side's median wall time,
@@ -20,6 +25,7 @@ The configuration is one entry of ``scripts/report_digests.py``'s
 Usage (from the repository root):
 
     python3 scripts/paired_timing.py BASE CHANGE [--config NAME] [--rounds N]
+                                     [--fresh]
 
 BASE and CHANGE are checkout roots, e.g. a ``git archive`` of the parent
 commit and ``.``.
@@ -56,15 +62,44 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
+# Runs the JSON argv in argv[2] once and answers the same JSON line, with
+# the seconds of cli.run alone, as perfbench/child.py measures them.
+FRESH = r"""
+import contextlib, io, json, os, sys, tempfile, time
+sys.path.insert(0, os.path.join(sys.argv[1], "src"))
+from finslerkelvin import cli
+dispatch, seconds = cli.run, []
+def timed(config):
+    start = time.perf_counter()
+    code = dispatch(config)
+    seconds.append(time.perf_counter() - start)
+    return code
+cli.run = timed
+answer = sys.stdout
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[2]) + ["--out", os.path.join(tmp, "report")])
+answer.write(json.dumps({"seconds": sum(seconds), "exit": code}) + "\n")
+"""
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+
+def _seconds(root: str, line: str) -> float:
+    """The seconds of one answer line, refusing a run that did not end in a
+    verdict."""
+    result = json.loads(line)
+    if result["exit"] not in (0, 1):
+        raise RuntimeError(f"{root}: the CLI exited {result['exit']}")
+    return result["seconds"]
+
+
 class Worker:
     """One interpreter importing the package of one checkout."""
 
     def __init__(self, root: str):
         self.root = root
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         self.proc = subprocess.Popen(
             [sys.executable, "-c", WORKER, os.path.abspath(root)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=ENV)
 
     def run(self, argv: list[str]) -> float:
         self.proc.stdin.write(json.dumps(argv) + "\n")
@@ -73,10 +108,7 @@ class Worker:
         if not line:
             raise RuntimeError(f"the worker for {self.root} ended "
                                f"(exit {self.proc.wait()})")
-        result = json.loads(line)
-        if result["exit"] not in (0, 1):
-            raise RuntimeError(f"{self.root}: the CLI exited {result['exit']}")
-        return result["seconds"]
+        return _seconds(self.root, line)
 
     def close(self) -> None:
         if self.proc.poll() is None:
@@ -86,6 +118,25 @@ class Worker:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait()
+
+
+class FreshWorker:
+    """A new interpreter per call, importing the package of one checkout."""
+
+    def __init__(self, root: str):
+        self.root = root
+
+    def run(self, argv: list[str]) -> float:
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH, os.path.abspath(self.root), json.dumps(argv)],
+            stdout=subprocess.PIPE, text=True, env=ENV)
+        if not proc.stdout:
+            raise RuntimeError(f"the interpreter for {self.root} ended "
+                               f"(exit {proc.returncode})")
+        return _seconds(self.root, proc.stdout)
+
+    def close(self) -> None:
+        pass
 
 
 def paired_rounds(base: Worker, change: Worker, argv: list[str],
@@ -120,13 +171,15 @@ def main(argv=None) -> int:
                         help="a report_digests.py configuration name")
     parser.add_argument("--rounds", type=int, default=20,
                         help="alternating pairs to time (at least 2)")
+    parser.add_argument("--fresh", action="store_true",
+                        help="run every call in a new interpreter")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
     workers = []
     try:
         for root in (args.base, args.change):
-            workers.append(Worker(root))
+            workers.append((FreshWorker if args.fresh else Worker)(root))
         base, change = paired_rounds(*workers, configs[args.config], args.rounds)
     except (RuntimeError, BrokenPipeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -134,7 +187,8 @@ def main(argv=None) -> int:
     finally:
         for worker in workers:
             worker.close()
-    print(f"config {args.config}, {args.rounds} rounds")
+    print(f"config {args.config}, {args.rounds} rounds"
+          + (", fresh interpreters" if args.fresh else ""))
     print("\n".join(summary(base, change)))
     return 0
 

@@ -38,6 +38,8 @@ quadratic-form norms every batch row rounds as that point alone.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fields import ScalarField, _product_jet, norm_power_field
@@ -71,7 +73,8 @@ class KelvinContext:
     H°(gradH(x)) on a small fixed sample and refuses to build a context
     whose dual is inconsistent with the primal norm (a ValueError, as for
     any input the calculus cannot take).  Contexts are immutable and safe
-    to share.
+    to share; the dual norm's context, `dual_context`, is built once, on
+    first use.
     """
 
     def __init__(self, spec: NormSpec):
@@ -88,6 +91,11 @@ class KelvinContext:
             raise ValueError(
                 f"dual norm inconsistent with primal (duality defect {worst:.3e})"
             )
+
+    @functools.cached_property
+    def dual_context(self) -> KelvinContext:
+        """The dual norm's context, built and self-checked on first use."""
+        return KelvinContext(self.dual)
 
     def __repr__(self):
         return f"<KelvinContext {self.spec.canonical()} dim={self.dim}>"

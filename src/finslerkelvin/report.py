@@ -28,6 +28,15 @@ embedded, so identical runs produce byte-identical artifacts.
 JSON and CSV rows share one writer, `_write`: it encodes each distinct float
 bit pattern of a render once and gathers the rows as bytes from one word
 table, holding besides the text a few bytes per cell and distinct float.
+The encoder, `_encode`, writes no float through Python: it computes repr's
+digits with Schubfach's integer arithmetic on uint64 arrays (the shortest
+decimal that reads back as the same float, the closest such, ties to even:
+repr's own rule, so its words equal repr by construction) and lays them out
+as repr does with one byte gather per 8,192 values.  Only NaN and the
+infinities are spelled per format: `nan`/`inf` in CSV, as `str` writes them,
+and `NaN`/`Infinity` in JSON, as `json.dumps` does.
+`scripts/check_float_encoder.py` checks the words against `str` and
+`json.dumps` of lists on 10^7 random bit patterns and the edge cases.
 
 Rows are stored as columns (`ResidualRows`), and the aggregates come from
 the columns of the unflagged rows; their maximum propagates NaN.  A verdict
@@ -195,15 +204,196 @@ _dumps = functools.partial(json.dumps, sort_keys=True, indent=2,
 # stands in for rows while json.dumps runs, which writes it as "\u0000rows";
 # no report string holds a NUL
 _HELD = "\x00rows"
-_CHUNK = 4096  # distinct floats per encoder call, and words per row gather
+_CHUNK = 4096  # words per row gather
+# NaN, inf and -inf as each format writes them
+_CSV_SPECIAL = ("nan", "inf", "-inf")
+_JSON_SPECIAL = ("NaN", "Infinity", "-Infinity")
+
+# ---------------------------------------------------------------------------
+# float64 -> repr text on uint64 arrays
+#
+# The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
+# doubles", 2020): the shortest decimal in the rounding interval, and of
+# those the closest, ties to even digits -- what repr picks.  Java's port
+# also insists on two digits (its `s >= 100` guard and its x10 path for
+# the smallest subnormals); repr does not, so the shorter candidate is
+# taken from s >= 10, and 5e-324 is "5e-324", not "4.9e-324".
+
+_U64 = np.uint64
+_M32, _M63 = _U64(2 ** 32 - 1), _U64(2 ** 63 - 1)
+_ONE, _INF = _U64(0x3FF0000000000000), _U64(0x7FF0000000000000)
+# values per encoder pass: on riemannian-bulk's 88,009 floats (2-vCPU VM,
+# numpy 2.4) 8,192 took 18.5 ms, 4,096 20.5 ms and 32,768 22.9 ms
+_ENCODE_CHUNK = 8192
 
 
-def _write(segments, encode) -> str:
+def _g_table() -> np.ndarray:
+    """(5, 617) uint64: the 32-bit limbs (hi, lo of g1, then of g0), and g1,
+    of Schubfach's g = floor(10^-k 2^-r) + 1 in [2^125, 2^126),
+    g = g1 2^63 + g0, for k = -324..292."""
+    rows = []
+    for k in range(-324, 293):
+        r = ((-k * 913_124_641_741) >> 38) - 125  # floor(log2 10^-k) - 125
+        num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
+        g1, g0 = divmod((num << max(-r, 0)) // (den << max(r, 0)) + 1, 2 ** 63)
+        rows.append((g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF, g1))
+    return np.array(rows, _U64).T.copy()
+
+
+# The tables are built from Python ints and bytes: numpy's integer division
+# and remainder here would add 0.9 MB to the peak RSS of every run.
+_G = _g_table()
+# every 4-digit group as 4 ASCII bytes in one uint32, and its trailing zeros
+_QUAD = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4,
+                             indexing="ij"), axis=-1).view(np.uint32).ravel()
+_TRAILING = np.zeros(10000, np.intp)
+for _step in (10, 100, 1000, 10000):
+    _TRAILING[::_step] += 1
+_POW10 = np.array([10 ** e for e in range(18)], _U64)
+# a 32-byte row: bytes 0-2 "000" then 17 digits, 20-23 "0" and the exponent's
+# three digits, then these; _layouts returns offsets into such a row
+_TAIL = np.frombuffer(b"-.e+\0\0\0\0", np.uint32)
+_ZERO, _DIGIT, _MINUS, _DOT, _E, _PLUS, _NUL = 0, 3, 24, 25, 26, 27, 28
+
+
+def _mulhi(ah, al, bh, bl):
+    """The high 64 bits of each product (ah 2^32 + al)(bh 2^32 + bl)."""
+    low = al * bl
+    cross = ah * bl
+    mid = (low >> _U64(32)) + (cross & _M32) + al * bh  # cannot wrap
+    return ah * bh + (cross >> _U64(32)) + (mid >> _U64(32))
+
+
+def _rop(g, cp):
+    """Schubfach's rop(cp g 2^-127): the floor, with the low bit set when
+    inexact, computed as its `rop` from the 63-bit halves of g."""
+    ch, cl = cp >> _U64(32), cp & _M32
+    y1 = _mulhi(g[0], g[1], ch, cl)
+    z = (g[4] * cp >> _U64(1)) + _mulhi(g[2], g[3], ch, cl)
+    return (y1 + (z >> _U64(63))) | (((z & _M63) + _M63) >> _U64(63))
+
+
+def _shortest(mag):
+    """(digits, k) per positive finite uint64 bit pattern: repr's digits as
+    one integer, and the decimal exponent of its last digit."""
+    bq = (mag >> _U64(52)).view(np.int64)
+    q = np.maximum(bq, 1)
+    c = mag - ((q - 1) << 52).view(_U64)  # the significand, 2^52 bit set
+    q -= 1075
+    irregular = (c == _U64(2 ** 52)) & (q > -1074)  # the gap below is half
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((k * -913_124_641_741) >> 38) + 2).view(_U64)
+    g = _G.take(k + 324, axis=1)
+    cp = c << (h + _U64(2))
+    step = _U64(1) << h
+    vb = _rop(g, cp)
+    # the interval's ends; an odd significand's interval is open, so its
+    # ends count as outside
+    vbl = _rop(g, cp - step * (_U64(2) - irregular)) + (c & _U64(1))
+    vbr = _rop(g, cp + step * _U64(2)) - (c & _U64(1))
+    s = vb >> _U64(2)
+    # one digit fewer, if in the interval; no %: on uint64 it costs 6x //
+    sp10 = s // _U64(10) * _U64(10)
+    upin = vbl <= sp10 << _U64(2)
+    wpin = (sp10 + _U64(10)) << _U64(2) <= vbr
+    shorter = (upin != wpin) & (s >= _U64(10))
+    uin = vbl <= s << _U64(2)
+    win = (s + _U64(1)) << _U64(2) <= vbr
+    # s + 1 when only it is in, or both are and it is closer (ties to even)
+    digits = s + (win & (~uin | ((vb & _U64(3)) + (s & _U64(1)) > _U64(2))))
+    # selects by arithmetic: np.where on a random mask costs 3x as much
+    digits += (sp10 + wpin * _U64(10) - digits) * shorter
+    return digits, k
+
+
+def _layouts(dps) -> np.ndarray:
+    """(34 len(dps), 24) offsets into a 32-byte row of the text of each
+    (dp, sign, digit count n = 1..17), with the value 0.d1..dn 10^dp: fixed
+    for -4 < dp <= 16, as repr, else scientific; _NUL pads."""
+    dp = np.repeat(np.asarray(dps), 34)[:, None]
+    n = np.tile(np.arange(1, 18), 2 * len(dps))[:, None]
+    j = np.arange(24) - np.tile(np.repeat([0, 1], 17), len(dps))[:, None]
+    # fixed: max(dp, 1) whole places, ".", max(n - dp, 1) fraction places
+    whole = np.maximum(dp, 1)
+    i = j - (j > whole) + (dp - 1) * (dp <= 0)  # the digit at j, if 0 <= i < n
+    fixed = np.select([j < 0, j == whole, j > whole + np.maximum(n - dp, 1),
+                       (i >= 0) & (i < n)], [_MINUS, _DOT, _NUL, _DIGIT + i], _ZERO)
+    # scientific: d[.dd..]e-05, e+16, e-308
+    m = n + (n > 1)
+    end = m + 4 + (np.abs(dp - 1) >= 100)
+    sci = np.select([j < 0, j == 0, j == m, j == m + 1, j == 1, j < m, j < end],
+                    [_MINUS, _DIGIT, _E, np.where(dp > 0, _PLUS, _MINUS), _DOT,
+                     _DIGIT + j - 1, 24 - end + j], _NUL)
+    return np.where((dp > -4) & (dp <= 16), fixed, sci)
+
+
+def _encode(values: np.ndarray, special) -> np.ndarray:
+    """Each float64 of `values` as repr writes it, NaN, inf and -inf as
+    `special` spells them, in NUL-padded S24 words."""
+    out = np.empty((len(values), 24), np.uint8)
+    rows = np.empty((_ENCODE_CHUNK, 8), np.uint32)
+    rows[:, 6:] = _TAIL
+    offsets = np.arange(_ENCODE_CHUNK)[:, None] * 32
+    # the 34 layouts of exponent dp start at layouts[first[dp + 323]]; only
+    # the exponents present are built, per call: all 21,522 took 61 ms, and
+    # a table kept across calls saves nothing in a fresh interpreter
+    first = np.full(633, -1)
+    layouts = np.empty((0, 24), np.intp)
+    for a in range(0, len(values), _ENCODE_CHUNK):
+        bits = values[a:a + _ENCODE_CHUNK].view(_U64)
+        row = rows[:len(bits)]
+        mag = bits & _M63
+        finite = mag - _U64(1) < _INF - _U64(1)  # and not zero
+        mag += (_ONE - mag) * ~finite  # 1.0 stands in for 0, inf and NaN
+        digits, dp = _shortest(mag)
+        # 17 digits, as 0.d1..d17 10^dp; 0 for 0
+        n = np.searchsorted(_POW10, digits, side="right")
+        dp += n
+        digits *= _POW10.take(17 - n) * finite
+        quads = []  # 4-digit groups, the first "000d"
+        for power in (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4):
+            quads.append(digits // _U64(power))
+            digits -= quads[-1] * _U64(power)
+        quads = [x.view(np.int64) for x in quads + [digits]]
+        for col, x in enumerate(quads):
+            _QUAD.take(x, out=row[:, col])
+        _QUAD.take(np.abs(dp - 1), out=row[:, 5])
+        n = 17 - _TRAILING.take(quads[4])
+        inner = quads[4] == 0  # every group right of the next one is 0
+        for x in quads[3::-1]:
+            n -= _TRAILING.take(x) * inner
+            inner &= x == 0
+        dp += 323
+        at = first.take(dp)
+        if (at < 0).any():
+            new = np.flatnonzero(np.bincount(dp[at < 0], minlength=633))
+            first[new] = len(layouts) + 34 * np.arange(len(new))
+            layouts = np.concatenate([layouts, _layouts(new - 323)])
+            at = first.take(dp)
+        at += (bits >> _U64(63)).view(np.int64) * 17 + np.maximum(n, 1) - 1
+        # flat takes (take_along_axis took twice as long), 2,048 rows at a
+        # time: their offsets hold 0.4 MB, and ran 4% faster than 8,192
+        flat = row.view(np.uint8).ravel()
+        for b in range(0, len(bits), 2048):
+            index = layouts.take(at[b:b + 2048], axis=0)
+            index += offsets[b:b + len(index)]
+            flat.take(index, out=out[a + b:a + b + len(index)])
+        if not finite.all():
+            words = out[a:a + len(bits)].view("S24").ravel()
+            words[bits & _M63 > _INF] = special[0]
+            words[bits == _INF] = special[1]
+            words[bits == _INF | _U64(2 ** 63)] = special[2]
+    return out.view("S24").ravel()
+
+
+def _write(segments, special) -> str:
     """The text of `segments`: each a str or a row block `(pieces, columns)`,
     a row being pieces[0], then each float64 column's cell followed by the
-    next piece.  A cell is written as `encode` writes it in a list (`str`:
-    repr; `json.dumps`: also NaN, Infinity).  A piece is an ASCII str without
-    NUL, or a `(bools, (no, yes))` pair that picks one of the two per row."""
+    next piece.  A cell is the float's repr, which `_encode` computes, once
+    per distinct float, by repr's own rule; `special` is the format's
+    spelling of NaN, inf and -inf (`_CSV_SPECIAL` or `_JSON_SPECIAL`).  A
+    piece is an ASCII str without NUL, or a `(bools, (no, yes))` pair that
+    picks one of the two per row."""
     blocks = [s for s in segments if isinstance(s, tuple)]
     words = dict.fromkeys(w for pieces, _ in blocks for p in pieces
                           for w in (p[1] if isinstance(p, tuple) else [p]))
@@ -221,9 +411,7 @@ def _write(segments, encode) -> str:
     distinct = bits[first].view(np.float64)  # 0.0 and -0.0 apart, NaNs too
     del bits, order, first
     # every word, the pieces first, NUL-padded to the longest
-    table = np.concatenate([np.array(list(words), "S")] + [
-        np.array(encode(distinct[k:k + _CHUNK].tolist())[1:-1].split(", "), "S")
-        for k in range(0, len(distinct), _CHUNK)])
+    table = np.concatenate([np.array(list(words), "S"), _encode(distinct, special)])
     words = {w: np.int32(i) for i, w in enumerate(words)}
     out, offset, ids = [], 0, []
     for segment in segments:
@@ -283,7 +471,7 @@ def render_json(document: dict) -> str:
         line = segments[-1].rsplit("\n", 1)[-1]
         segments += [*_json_rows(rows, line[:len(line) - len(line.lstrip(" "))]),
                      part]
-    return _write(segments + ["\n"], json.dumps)
+    return _write(segments + ["\n"], _JSON_SPECIAL)
 
 
 CSV_HEADER_TAIL = ["lhs", "rhs", "abs_residual", "rel_residual", "flag"]
@@ -295,7 +483,7 @@ def render_csv(reports: list[ResidualReport], dim: int) -> str:
     The point columns are as many as the widest point, at least `dim`;
     shorter points (the planar counterexample scan inside a
     higher-dimensional `all` run) are padded with empty cells.  Float cells
-    are their repr (`str` of a list of floats).
+    are their repr, NaN and the infinities `nan`, `inf` and `-inf`.
     """
     width = max([dim] + [r.rows.points.shape[1] for r in reports if len(r.rows)])
     out = [",".join([f"x{i}" for i in range(width)] + CSV_HEADER_TAIL) + "\n"]
@@ -305,7 +493,7 @@ def render_csv(reports: list[ResidualReport], dim: int) -> str:
         pieces[-1] = (rows.flags, (",0\n", ",1\n"))
         out.append((pieces, (*rows.points.T, rows.lhs, rows.rhs,
                              rows.abs_residual, rows.rel_residual)))
-    return _write(out, str)
+    return _write(out, _CSV_SPECIAL)
 
 
 def render_table(reports: list[ResidualReport]) -> str:

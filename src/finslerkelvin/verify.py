@@ -431,7 +431,6 @@ def check_proof_identities(ctx: KelvinContext, plan: SamplePlan) -> ResidualRepo
     """
     spec = ctx.spec
     _require_quadratic_form(spec, "the proof transport identities")
-    dual_ctx = KelvinContext(ctx.dual)
     pts = plan.points(spec)
     count, dim = pts.shape
     xis = cube_directions(count, dim, skip=41) * 1.7
@@ -444,7 +443,7 @@ def check_proof_identities(ctx: KelvinContext, plan: SamplePlan) -> ResidualRepo
     abs_a, rel_a = residuals(lhs_a, rhs_a)
 
     jp = spec.jet(ps)
-    left = jp.value[:, None] * row_matvec(jacobian_matrix(dual_ctx, t),
+    left = jp.value[:, None] * row_matvec(jacobian_matrix(ctx.dual_context, t),
                                           jp.gradient)
     jq = ctx.dual.jet(row_matvec(dt, ps))
     right = (np.float_power(hy, 4) * jq.value)[:, None] * jq.gradient
@@ -555,8 +554,7 @@ def run_kelvin_suite(spec: NormSpec, plan: SamplePlan) -> ResidualReport:
     # restores the original field values
     probe = quadratic_field(0.5 * np.eye(ctx.dim),
                             0.1 * np.arange(1.0, ctx.dim + 1.0), 1.0)
-    dual_ctx = KelvinContext(ctx.dual)
-    double = hat_transform(dual_ctx, hat_transform(ctx, probe))
+    double = hat_transform(ctx.dual_context, hat_transform(ctx, probe))
     e_inv = np.max(np.abs(np.asarray(double(pts)) - np.asarray(probe(pts)))
                    / np.maximum(np.abs(np.asarray(probe(pts))), 1.0))
     gates.append(Gate("pullback_involution", float(e_inv), TOL_DUALITY))

@@ -230,10 +230,14 @@ def reference_render_csv(reports, dim):
 
 # A renderer that writes each distinct float once must not merge these:
 # 0.0 and -0.0, NaNs of either sign and another payload, and both sides of
-# repr's switches to exponent form (1e16 and 1e-4).
+# repr's switches to exponent form (1e16 and 1e-4).  The encoder must write
+# one digit where one is enough (the smallest subnormals) and round on the
+# irregular interval of a power of two, whose lower gap is half the upper.
 SPECIAL_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16,
                  9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5, 1.0,
-                 -np.nan, np.uint64(0x7FF8000000000001).view(np.float64)]
+                 -np.nan, np.uint64(0x7FF8000000000001).view(np.float64),
+                 1e-323, 2e-323, 5e-323, 9e-323, 1e-322, 2.0 ** -1022,
+                 2.0 ** -1021, 2.0 ** -537, 2.0 ** 54, -2.0 ** 200, 2.0 ** 1023]
 
 
 def special_reports():

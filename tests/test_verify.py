@@ -459,6 +459,21 @@ def test_kelvin_suite_riemannian():
     assert rep.details["fundamental_solution"] <= 1e-6
 
 
+def test_kelvin_suite_builds_the_dual_context_once(monkeypatch):
+    # the pullback involution and the proof identities share one dual context
+    built = []
+    init = KelvinContext.__init__
+
+    def counting(self, spec):
+        built.append(spec.canonical())
+        init(self, spec)
+
+    monkeypatch.setattr(KelvinContext, "__init__", counting)
+    spec = RiemannianNorm(random_spd_matrix(4, 0))
+    assert run_kelvin_suite(spec, SamplePlan(count=50)).passed
+    assert built == [spec.canonical(), spec.dual().canonical()]
+
+
 def test_kelvin_suite_quartic():
     rep = run_kelvin_suite(QuarticNorm(), SamplePlan())
     assert rep.passed
