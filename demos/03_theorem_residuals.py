@@ -55,10 +55,10 @@ print(f"  residuals {[f'{r:.2e}' for r in convergence['max_residuals']]}")
 print(f"  fitted order {convergence['order']:.3f} (second-order stencils)")
 
 print()
-print("=== independent route: midpoint quadrature of the weak identity ===")
+print("=== independent route: Gauss quadrature of the weak identity ===")
 out = weak_form_crosscheck(ctx, manufacture_semilinear(spec, "gaussian-bump"))
-print(f"  {out['boxes']} bump test functions on a {out['grid']}^3 grid: "
-      f"worst mismatch {out['worst']:.2e}")
+print(f"  {out['boxes']} bump test functions, {out['nodes']} nodes on each "
+      f"bump's ball: worst mismatch {out['worst']:.2e}")
 
 print()
 print("=== quasilinear (dimension-tied) transform theorem ===")

@@ -139,9 +139,9 @@ _FD_BLOCK = 128
 _BUMP_BOXES = 5
 _BUMP_RADIUS = 0.22
 _WEAK_FD_STEP = 1e-5
-# The largest N whose grid^N quadrature mesh is built: at N = 6 (grid 10)
-# `semilinear --count 5` took 19.5 s and 538 MB peak RSS on a 2-vCPU VM,
-# and the mesh grows tenfold with each further N.
+# The largest N whose product rule is built: it has 108,864 nodes per box at
+# N = 6, where `semilinear --count 5` took 1.5 s and 101 MB peak RSS on a
+# 2-vCPU VM, and 653,184 at N = 7.
 _WEAK_FORM_MAX_DIM = 6
 
 
@@ -624,14 +624,39 @@ def run_counterexample_scan(spec: NormSpec | None = None) -> ResidualReport:
 # brute-force weak-form cross-check
 
 
-def _bump(points: np.ndarray, center: np.ndarray, radius: float):
-    """The points where the C^2 bump (1 - |y-c|^2/r^2)^3 is nonzero, and its
-    value and gradient there; both are exactly 0 at every other point."""
-    d = points - center
-    s = row_sum(d * d) / radius**2
-    inside = s < 1.0
-    base = 1.0 - s[inside]
-    return points[inside], base**3, (-6.0 / radius**2) * base[:, None] ** 2 * d[inside]
+def _gauss_gegenbauer(m: int, lam: float):
+    """The m-point Gauss rule for the weight (1 - t^2)^(lam - 1/2) on
+    [-1, 1] (Legendre at lam = 1/2), by Golub & Welsch (Math. Comp. 23, 1969):
+    the nodes are the eigenvalues of the Jacobi matrix, the weights the mass
+    times the squared first components of its eigenvectors."""
+    k = np.arange(1.0, m)
+    off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+    nodes, vecs = np.linalg.eigh(np.diag(off, -1))
+    mass = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1)
+    return nodes, mass * vecs[0] ** 2
+
+
+def _ball_rule(n: int):
+    """Nodes (rows) and weights of a product Gauss rule on the unit ball of
+    R^n in polar coordinates (Stroud 1971, ch. 2-3): m_r Gauss-Legendre radii
+    with r^(n-1) in the weights, m_s Gauss-Gegenbauer nodes in each polar
+    angle (weight sin^k, lam = k/2) and 2 m_s equal steps in the last angle.
+    (m_r, m_s) is (8, 8) up to N = 3, and (7, 6) from N = 4, where (7, 7)
+    took 1.6 times as long."""
+    m_r, m_s = (8, 8) if n <= 3 else (7, 6)
+    phi = np.pi * np.arange(2 * m_s) / m_s
+    sphere = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    weights = np.full(2 * m_s, np.pi / m_s)
+    for k in range(1, n - 1):  # S^k from S^(k-1): (cos a, sin a * x), weight sin^k a
+        t, w = _gauss_gegenbauer(m_s, k / 2)
+        rest = np.sqrt(1 - t * t)[:, None, None] * sphere
+        sphere = np.concatenate([np.repeat(t, len(sphere))[:, None],
+                                 rest.reshape(-1, k + 1)], axis=-1)
+        weights = np.outer(w, weights).ravel()
+    t, w = _gauss_gegenbauer(m_r, 0.5)
+    r = (1 + t) / 2
+    return ((r[:, None, None] * sphere).reshape(-1, n),
+            np.outer(w / 2 * r ** (n - 1), weights).ravel())
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -644,42 +669,45 @@ def _exact_sum(terms: np.ndarray) -> float:
 
 
 def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
-    """Midpoint-quadrature check of the transformed weak identity.
+    """Gauss-quadrature check of the transformed weak identity.
 
     Integrates  H^(4-2N) H°(p) <gradH°(p), grad psi>  against
     H^(-2N) (f o T) psi  over small boxes, with p = grad(u o T) obtained by
     plain finite differences of composed *values*.  Nothing here touches the
-    chain-rule jets, so it is an independent route to the same theorem;
-    accuracy is quadrature-limited.
+    chain-rule jets, so it is an independent route to the same theorem.
 
-    Only mesh points inside the bump's support are evaluated.  The sums are
-    exact (``math.fsum``), so the exact-zero terms dropped move no bit; a box
-    whose terms have no finite sum gets a NaN error, as with ``np.sum``.  A
-    box whose source integral is exactly 0 is refused: its relative error
-    would read 1 whatever the lhs, so the source is computed first.
+    Each box is the ball {|y - c| < R} that supports the C^2 bump
+    psi = (1 - |y-c|^2/R^2)^3, integrated by the product rule of
+    `_ball_rule` (1,024 nodes at N = 3, 3,024 at N = 4).  The integrand is
+    smooth on the ball, so the rule converges spectrally; what is left is
+    mostly the FD step's error.  Each term carries its node's weight over the
+    mean weight, and the exact sum (``math.fsum``) is scaled by the ball's
+    volume per node, as a midpoint sum by its cell: a box whose terms have no
+    finite sum gets a NaN error, as with ``np.sum``.  A box whose source
+    integral is exactly 0 is refused: its relative error would read 1
+    whatever the lhs, so the source is computed first.
     """
     _require_quadratic_form(ctx.spec, "the weak-form cross-check")
     n = ctx.dim
     if n > _WEAK_FORM_MAX_DIM:
-        raise ValueError(f"the weak-form cross-check builds a grid^N mesh "
+        raise ValueError(f"the weak-form cross-check builds its product rule "
                          f"only up to N = {_WEAK_FORM_MAX_DIM}, got N = {n}")
-    grid = 24 if n <= 3 else 10
     centers = cube_directions(_BUMP_BOXES, n, skip=29)
     centers = centers * (1.3 / np.asarray(ctx.spec.value(centers)))[:, None]
 
-    offsets = ((np.arange(grid) + 0.5) / grid * 2.0 * _BUMP_RADIUS
-               - _BUMP_RADIUS)
-    mesh = np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1)
-    mesh = mesh.reshape(-1, n)
-    cell = (2.0 * _BUMP_RADIUS / grid) ** n
-
+    unit, weights = _ball_rule(n)
+    mean = float(np.mean(weights))
+    cell = mean * _BUMP_RADIUS ** n  # the ball's volume per node
+    base = 1.0 - row_sum(unit * unit)
+    wpsi = weights / mean * base**3
+    wdpsi = (weights / mean * (-6.0 / _BUMP_RADIUS) * base**2)[:, None] * unit
     ustar = star_transform(ctx, prob.u)
 
     errors = []
     for k, c in enumerate(centers):
-        pts, psi, dpsi = _bump(mesh + c, c, _BUMP_RADIUS)
+        pts = c + _BUMP_RADIUS * unit
         hy, t = _inversion(ctx.spec, pts)
-        rhs = _exact_sum(hy ** (-2 * n) * prob.f(t) * psi) * cell
+        rhs = _exact_sum(hy ** (-2 * n) * prob.f(t) * wpsi) * cell
         if rhs == 0.0:
             raise ValueError(f"the weak-form cross-check needs a source whose "
                              f"integral is nonzero: box {k} at {c.tolist()} "
@@ -688,13 +716,13 @@ def weak_form_crosscheck(ctx: KelvinContext, prob: ManufacturedProblem) -> dict:
                       for e in _WEAK_FD_STEP * np.eye(n)], axis=-1)
         hdual, gdual = ctx.dual.value_gradient(p)
         lhs = _exact_sum(hy ** (4 - 2 * n) * hdual
-                         * row_sum(gdual * dpsi)) * cell
+                         * row_sum(gdual * wdpsi)) * cell
         errors.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return {
         "box_errors": errors,
         "worst": float(np.max(errors)),
         "boxes": _BUMP_BOXES,
-        "grid": grid,
+        "nodes": len(weights),
     }
 
 

@@ -358,8 +358,20 @@ def test_semilinear_dimension_5_reaches_a_verdict(tmp_path):
     assert json.loads(out.read_text())["suites"][0]["count"] == 20
 
 
+def test_all_passes_a_hand_written_metric_whose_weak_form_box_nearly_cancels(tmp_path):
+    # box 4's source integral cancels to 2.2e-4 of its absolute integral;
+    # the midpoint mesh read weak_form_worst 0.406 there
+    out = tmp_path / "r.json"
+    code = main(["all", "--norm", "riemannian:[[2,0.3,0],[0.3,1,0.1],[0,0.1,0.5]]",
+                 "--count", "100", "--out", str(out)])
+    assert code == EXIT_PASS
+    semilinear = [s for s in json.loads(out.read_text())["suites"]
+                  if s["suite"] == "semilinear"]
+    assert semilinear[0]["details"]["weak_form_worst"] <= 1e-3
+
+
 def test_semilinear_above_the_weak_form_mesh_limit_exits_2(package_env):
-    # the weak-form quadrature would build a 10^7-point mesh per box
+    # the weak-form quadrature rule would have 653,184 nodes per box
     proc = subprocess.run(
         [sys.executable, "-m", "finslerkelvin", "semilinear", "--norm",
          "euclidean:7"],
