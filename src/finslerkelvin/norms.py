@@ -20,10 +20,12 @@ Three families are built in:
 
 The dual norm is H°(x) = sup{<xi, x> : H(xi) <= 1}.  For quadratic-form
 norms it equals sqrt(<M^-1 x, x>); for the quartic norm ``dual()``
-returns a ``NumericDualNorm``: a batched Newton solve of the support-function
-optimality system gives the maximum H°, the maximizer grad H° (envelope
-property) and, by implicit differentiation, D^2 H°.  In the plane each
-Newton step and the Hessian are closed forms, with no linear solver.
+returns a ``NumericDualNorm``: per direction x, a bracketed scalar Newton
+solve finds the point of the unit circle where grad H is parallel to x, and
+one Newton step of the support-function optimality system polishes it.
+That gives the maximum H°, the maximizer grad H° (envelope property) and, by
+implicit differentiation, D^2 H°, in closed form in the plane: no linear
+solver and no BLAS call.
 
 Derivative identities enforced throughout (and exercised by the test
 suite): the Euler relation <grad H(x), x> = H(x), zero-homogeneity of the
@@ -58,11 +60,11 @@ __all__ = [
 ]
 
 NEWTON_MAX_ITER = 50
-NEWTON_KKT_TOL = 1e-8
+NEWTON_STEP_TOL = 1e-7
 
 
 class ConvergenceError(RuntimeError):
-    """Newton maximization failed to reach the KKT tolerance."""
+    """Newton maximization failed to reach its step tolerance."""
 
 
 @dataclass(frozen=True)
@@ -392,10 +394,11 @@ class QuarticNorm(NormSpec):
 class NumericDualNorm(NormSpec):
     """Dual of a planar norm without a closed-form dual (other dims: ValueError).
 
-    Value and gradient (the maximizer xi) come from one Newton solve, as in
-    ``value_gradient``: a 1e-8 KKT stop, then one polishing Newton step. The
-    Hessian t (x) t / (H°(x) <D^2 H(xi) t, t>) inverts the optimality system
-    on the tangent t, at the solve's primal jet.
+    Value and gradient (the maximizer xi) come from one ``_support_points``
+    solve, as in ``value_gradient``: scalar Newton to a step of at most 1e-7,
+    then one polishing step of the KKT system.  The Hessian
+    t (x) t / (H°(x) <D^2 H(xi) t, t>) inverts the optimality system on the
+    tangent t, at the solve's primal jet.
     """
 
     def __init__(self, primal: NormSpec):
@@ -447,96 +450,62 @@ def _newton_step(lam, grad, hess, r):
     return d_xi, (w[:, 0] * r[:, 0] + w[:, 1] * r[:, 1] - lam * det * r[:, 2]) / curv
 
 
-def _kkt_residual(xh, lam, value, grad):
-    """Stationarity residuals and their max |.| per row (exact np.maximum)."""
-    r = np.column_stack([xh - lam[:, None] * grad, 1.0 - value])
-    return r, functools.reduce(np.maximum, np.abs(r).T)
-
-
 def _support_points(spec: NormSpec, x: np.ndarray):
     """Maximize <xi, x> over the unit circle {H(xi) = 1} of `spec`, per row.
 
-    Newton iteration on the stationarity system
-
-        x - lam * grad H(xi) = 0,    H(xi) = 1,
-
-    warm-started at xi = x / H(x), for all rows of `x` (n, 2) at once, with
-    the step of ``_newton_step`` halved (at most 20 times) while a row's
-    residual fails to shrink.  The state holds the active rows only: a
-    converged row is written out once and dropped, and a full step every
-    row takes replaces the state whole, so a row gets the same bits and
-    iterations in any batch.  A row stops at a KKT residual of 1e-8, then
-    takes one full step (no damping, no test) to the rounding floor.
-    Returns (lam, xi, iterations, jet) there: lam is both multiplier and
-    maximum, the iterations count that step, jet is H's at xi.  Rows are
-    scaled to |x| = 1 so the KKT tolerance means the same for all inputs.
+    With x' = x turned a quarter turn, the maximizer is the direction of the
+    line e(s) = x + s x' where grad H is parallel to x: the root of
+    F(s) = <grad H(e(s)), x'>, whose derivative <D^2 H(e) x', x'> is
+    positive on a uniformly convex ball, so the root is unique.  Each row
+    runs Newton from s = 0, keeps the bracket of s that the signs of F give,
+    and bisects it where a step would leave it.  Once a step is at most
+    ``NEWTON_STEP_TOL`` the row takes it, which leaves an error of about
+    its square, and from xi = e / H(e) (H at the last jet) makes one Newton
+    step of the KKT system x - lam grad H(xi) = 0, H(xi) = 1.  Rows are
+    first scaled by a power of two, exactly, so that s means the same for
+    all inputs; every product is elementwise, so a row gets the same bits
+    and iterations in any batch and under any BLAS.  Returns (lam, xi,
+    iterations, jet): lam is both multiplier and maximum, the iterations
+    count the jets evaluated per row before the returned one, H's at xi.
     Raises ConvergenceError naming the first row that fails.
     """
-    scale = np.sqrt(row_dot(x, x))
-    if np.any(scale == 0.0):
+    size = np.maximum(np.abs(x[:, 0]), np.abs(x[:, 1]))
+    if np.any(size == 0.0):
         raise ValueError("support maximization needs a nonzero direction")
-    xh = x / scale[:, None]
-    xi = xh / spec.value(xh)[:, None]
-    # state of the active rows: `rows` are their indices into `x`, `stuck`
-    # the positions no halving could improve (they cannot converge)
-    rows, stuck, j = np.arange(len(x)), [], spec.jet(xi)
-    state = [xi, row_dot(xi, xh), j.value, j.gradient, j.hessian]
-    out, iters = [np.empty_like(a) for a in state], np.full(len(x), -1)
-    resid, rnorm = _kkt_residual(xh, *state[1:4])
+    k = np.frexp(size)[1]
+    xs = np.ldexp(x, -k[:, None])
+    n = len(x)
+    # the active rows: their indices into `x`, directions, s and its bracket
+    rows, d, s = np.arange(n), xs, np.zeros(n)
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    e_out, h_out, iters = np.empty_like(x), np.empty(n), np.full(n, -1)
     for it in range(NEWTON_MAX_ITER):
-        done = rnorm <= NEWTON_KKT_TOL
-        if done.any() or len(stuck):
-            for o, a in zip(out, state):
-                o[rows[done]] = a[done]
-            iters[rows[done]] = it
-            keep = ~done
-            keep[stuck] = False
-            if not keep.any():
-                break
-            rows, xh, resid, rnorm = (a[keep] for a in (rows, xh, resid, rnorm))
-            state = [a[keep] for a in state]
-        xi, lam, _, grad, hess = state
-        d_xi, d_lam = _newton_step(lam, grad, hess, resid)
-        # damped update of the state positions `todo` still halving.  Without
-        # the full-take path and the slice selections, quartic-dual took a
-        # median 1.26x the time (scripts/paired_timing.py, 2-vCPU VM; faster
-        # in 1 of 40 pairs)
-        todo, t = np.arange(rows.size), 1.0
-        for _ in range(20):
-            sel = slice(None) if todo.size == rows.size else todo
-            xi_try = xi[sel] + t * d_xi[sel]
-            lam_try = lam[sel] + t * d_lam[sel]
-            # a trial point at the origin has no jet and is not taken
-            nonzero = nonzero_rows(xi_try)
-            if nonzero.any():
-                live = slice(None) if nonzero.all() else nonzero
-                j = spec.jet(xi_try[live])
-                trial = [xi_try[live], lam_try[live], j.value, j.gradient,
-                         j.hessian]
-                r_try, rn_try = _kkt_residual(xh[sel][live], *trial[1:4])
-                take = rn_try < rnorm[sel][live]
-                if take.size == rows.size and take.all():
-                    state, resid, rnorm, todo = trial, r_try, rn_try, []
-                    break
-                acc = np.flatnonzero(nonzero)[take]
-                for a, b in zip(state + [resid, rnorm], trial + [r_try, rn_try]):
-                    a[todo[acc]] = b[take]
-                todo = np.delete(todo, acc)
-                if todo.size == 0:
-                    break
-            t *= 0.5
-        stuck = todo
+        perp = np.column_stack([-d[:, 1], d[:, 0]])
+        j = spec.jet(d + s[:, None] * perp)
+        f = j.gradient[:, 0] * perp[:, 0] + j.gradient[:, 1] * perp[:, 1]
+        lo, hi = np.where(f < 0.0, s, lo), np.where(f > 0.0, s, hi)
+        step = f / _tangent_curvature(d, j.hessian)[2]
+        done = np.abs(step) <= NEWTON_STEP_TOL
+        s = s - step
+        e_out[rows[done]] = d[done] + s[done, None] * perp[done]
+        h_out[rows[done]], iters[rows[done]] = j.value[done], it + 1
+        if done.all():
+            break
+        rows, d, s, lo, hi = (a[~done] for a in (rows, d, s, lo, hi))
+        s = np.where((lo < s) & (s < hi), s, 0.5 * (lo + hi))
     if np.any(iters < 0):
         bad = x[np.argmax(iters < 0)]
         raise ConvergenceError(
             f"support maximization did not converge in {NEWTON_MAX_ITER} "
             f"iterations for direction {bad.tolist()}"
         )
-    xi, lam, value, grad, hess = out
-    r = _kkt_residual(x / scale[:, None], lam, value, grad)[0]
-    d_xi, d_lam = _newton_step(lam, grad, hess, r)
+    xi = e_out / h_out[:, None]
+    j = spec.jet(xi)
+    lam = xi[:, 0] * xs[:, 0] + xi[:, 1] * xs[:, 1]
+    r = np.column_stack([xs - lam[:, None] * j.gradient, 1.0 - j.value])
+    d_xi, d_lam = _newton_step(lam, j.gradient, j.hessian, r)
     xi = xi + d_xi
-    return (lam + d_lam) * scale, xi, iters + 1, spec.jet(xi)
+    return np.ldexp(lam + d_lam, k), xi, iters + 1, spec.jet(xi)
 
 
 def _support_values(spec: NormSpec, x):

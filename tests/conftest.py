@@ -16,10 +16,10 @@ from finslerkelvin.norms import NormSpec, QuarticNorm
 
 
 class StretchedQuartic(NormSpec):
-    """The quartic norm of (x1, s x2): far from round for large s, so full
-    Newton steps overshoot and the solve takes damped steps.  It defines
-    only ``_eval`` and ``canonical``; the rest of the contract, the dual
-    included, comes from ``NormSpec``."""
+    """The quartic norm of (x1, s x2): far from round for large s, so some
+    Newton steps of the dual solve leave its bracket and bisect it.  It
+    defines only ``_eval`` and ``canonical``; the rest of the contract, the
+    dual included, comes from ``NormSpec``."""
 
     def __init__(self, s):
         self.stretch, self.dim = np.array([1.0, s]), 2
