@@ -13,7 +13,6 @@ from finslerkelvin import (
     QuarticNorm,
     RiemannianNorm,
     SamplePlan,
-    check_ellipticity,
     equivalence_constants,
     run_identity_suite,
 )
@@ -35,8 +34,6 @@ for name, spec in specs:
     print(f"  H°({x.tolist()}) = {spec.dual_value(x):.12f}")
     c1, c2 = equivalence_constants(spec)
     print(f"  c1 |x| <= H <= c2 |x| with (c1, c2) = ({c1:.6f}, {c2:.6f})")
-    print(f"  uniform-convexity constant (sampled): "
-          f"{check_ellipticity(spec, 128):.6f}")
 
 print()
 print("=== the quartic dual has no closed form: Newton does the work ===")

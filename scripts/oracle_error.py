@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Error of semilinear, affine nlaplace and quartic-dual reports against exact values.
+"""Error of semilinear, nlaplace and quartic-dual reports against exact values.
 
 For a quadratic-form norm H(y) = sqrt(<My, y>) both sides of every row of
 the ``semilinear`` suite equal E = f(T(y)) / H(y)^(N+2), with T(y) = My / H^2
@@ -27,6 +27,13 @@ transformed equation are 0, and |lhs| is the error of the analytic
 chain-rule jet and the operator.  For those rows the script prints the
 median, p99 and max of |lhs| in absolute units, plus the row behind the max.
 
+The last ``count`` nlaplace rows take finite-difference (FD) jets of
+star(u-quadratic), u(T(y)) with u = |x|^2 / 2.  For those the script
+rebuilds the report's sample plan, takes the FD jets as the suite does, and
+prints the median, p99 and max relative error of the FD gradient and
+Hessian against the analytic chain-rule jet of the same field, plus the
+row behind each max.
+
 For a report whose config norm is ``quartic`` the rows are not read: the
 script rebuilds the report's sample plan and compares the package's numeric
 dual with a 40-digit Newton solve of the support-function KKT system of the
@@ -37,8 +44,9 @@ exact H(xi) = (xi1^4 + 3 xi1^2 xi2^2 + xi2^4)^(1/4),
 at every plan point x.  It prints the median, p99 and max, in eps, of the
 relative error of H°(x) = <xi, x>, grad H°(x) = xi, D^2 H°(x) (the xi-block
 of the inverse KKT matrix, by Gaussian elimination) and the bidual H°°(x)
-against the exact H(x), plus the row behind each max.  A vector or matrix
-error is max |computed - exact| over its entries divided by max |exact|.
+against the exact H(x), plus the row behind each max.  Here and for the FD
+jets, a vector or matrix error is max |computed - exact| over its entries
+divided by max |exact|.
 
 Usage (from the repository root; the package is imported from ``src/``):
 
@@ -61,8 +69,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from finslerkelvin.norms import QuarticNorm  # noqa: E402
-from finslerkelvin.verify import SamplePlan, _default_center  # noqa: E402
+from finslerkelvin.fields import ScalarField  # noqa: E402
+from finslerkelvin.kelvin import KelvinContext, star_transform  # noqa: E402
+from finslerkelvin.norms import QuarticNorm, parse_norm  # noqa: E402
+from finslerkelvin.verify import (SamplePlan, _default_center, _jets,  # noqa: E402
+                                  manufacture_nlaplace)
 
 DIGITS = 40
 EPS = float(np.finfo(float).eps)
@@ -71,6 +82,7 @@ SIDES = ("lhs", "rhs")
 # width of the gaussian bump, as in manufacture_semilinear
 WIDTH = 1.2
 QUARTIC = ("H°", "grad H°", "D2H°", "bidual")
+FD = ("gradient", "Hessian")
 
 
 def norm_matrix(norm: str) -> np.ndarray:
@@ -151,6 +163,41 @@ def affine_errors(path: str) -> tuple[list[float], list]:
             [(path, i, row) for i, row in enumerate(block)])
 
 
+def _relative(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """max |got - want| / max |want| over each row's entries."""
+    axes = tuple(range(1, want.ndim))
+    return np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)
+
+
+def _plan(config: dict) -> SamplePlan:
+    return SamplePlan(annulus=tuple(config["annulus"]), count=config["count"],
+                      seed=config["seed"])
+
+
+def fd_errors_at(spec, points: np.ndarray) -> dict[str, list[float]]:
+    """Relative error of the FD gradient and Hessian of the nlaplace numeric
+    rows' field against its analytic chain-rule jet, per point."""
+    ctx = KelvinContext(spec)
+    u = manufacture_nlaplace(spec, "quadratic").u
+    exact = star_transform(ctx, u).jet(points)
+    value_only = star_transform(ctx, ScalarField(spec.dim, u, name=u.name))
+    jets = list(_jets(value_only, points))
+    fd = (np.concatenate([j.gradient for j in jets]),
+          np.concatenate([j.hessian for j in jets]))
+    return {name: _relative(got, want).tolist()
+            for name, got, want in zip(FD, fd, (exact.gradient, exact.hessian))}
+
+
+def fd_errors(path: str) -> dict:
+    """Per derivative: FD errors and, per plan point, (path, index, point)."""
+    report, _ = _load(path)
+    spec = parse_norm(report["config"]["norm"])
+    points = _plan(report["config"]).points(spec)
+    where = [(path, i, point) for i, point in enumerate(points.tolist())]
+    return {name: (errs, where)
+            for name, errs in fd_errors_at(spec, points).items()}
+
+
 def _solve(a: list, cols: list) -> list:
     """x with a x = c for each column c, by Gaussian elimination with partial
     pivoting; x[i][k] belongs to column k."""
@@ -224,10 +271,7 @@ def quartic_errors_at(points: np.ndarray) -> dict[str, list[float]]:
 def quartic_errors(path: str) -> dict:
     """Per quantity: errors in eps and, per plan point, (path, index, point)."""
     report, _ = _load(path)
-    config = report["config"]
-    plan = SamplePlan(annulus=tuple(config["annulus"]), count=config["count"],
-                      seed=config["seed"])
-    points = plan.points(QuarticNorm())
+    points = _plan(report["config"]).points(QuarticNorm())
     where = [(path, i, point) for i, point in enumerate(points.tolist())]
     return {name: (errs, where)
             for name, errs in quartic_errors_at(points).items()}
@@ -276,8 +320,23 @@ def affine_table(title: str, errors: tuple[list[float], list]) -> list[str]:
             f"lhs {row['lhs']!r}"]
 
 
+def fd_table(title: str, errors: dict) -> list[str]:
+    lines = [title,
+             f"  {'nlaplace FD':<14}{'rows':>7}{'median':>11}{'p99':>11}"
+             f"{'max':>11}  (relative, against the chain-rule jet)"]
+    worst = []
+    for name, (errs, where) in errors.items():
+        e = np.array(errs)
+        lines.append(f"  {name:<14}{len(e):>7}{np.median(e):>11.3e}"
+                     f"{np.percentile(e, 99):>11.3e}{e.max():>11.3e}")
+        path, index, point = where[int(np.argmax(e))]
+        worst.append(f"  max FD {name}: {path} row {index} point {point}")
+    return lines + worst
+
+
 def _pool(sections: list) -> dict | tuple:
-    """One semilinear or quartic dict, or one affine (values, where), over all files."""
+    """One semilinear, FD or quartic dict, or one affine (values, where), over
+    all files."""
     if isinstance(sections[0], dict):
         pooled = {}
         for errors in sections:
@@ -296,7 +355,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pool", action="store_true",
                         help="one table per section over the rows of all reports")
     args = parser.parse_args(argv)
-    semilinear, affine, quartic = [], [], []
+    semilinear, affine, fd, quartic = [], [], [], []
     try:
         for path in args.reports:
             report, suites = _load(path)
@@ -310,11 +369,12 @@ def main(argv=None) -> int:
                 semilinear.append((path, row_errors(path)))
             if "nlaplace" in suites:
                 affine.append((path, affine_errors(path)))
+                fd.append((path, fd_errors(path)))
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for sections, render in ((semilinear, table), (affine, affine_table),
-                             (quartic, quartic_table)):
+                             (fd, fd_table), (quartic, quartic_table)):
         if args.pool and sections:
             sections = [(f"pooled over {len(sections)} reports",
                          _pool([errors for _, errors in sections]))]

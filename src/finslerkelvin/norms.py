@@ -55,7 +55,6 @@ __all__ = [
     "NumericDualNorm",
     "ConvergenceError",
     "equivalence_constants",
-    "check_ellipticity",
     "parse_norm",
 ]
 
@@ -398,7 +397,7 @@ class NumericDualNorm(NormSpec):
     solve, as in ``value_gradient``: scalar Newton to a step of at most 1e-7,
     then one polishing step of the KKT system.  The Hessian
     t (x) t / (H°(x) <D^2 H(xi) t, t>) inverts the optimality system on the
-    tangent t, at the solve's primal jet.
+    tangent t, at the primal jet at xi, which only this order evaluates.
     """
 
     def __init__(self, primal: NormSpec):
@@ -409,10 +408,11 @@ class NumericDualNorm(NormSpec):
     def _eval(self, pts, order):
         if order == 0:
             return _support_values(self.primal, pts)
-        lam, xi, _, pj = _support_points(self.primal, pts.reshape(-1, 2))
+        lam, xi, _ = _support_points(self.primal, pts.reshape(-1, 2))
         h, grad = _unbox(lam.reshape(pts.shape[:-1])), xi.reshape(pts.shape)
         if order == 1:
             return h, grad
+        pj = self.primal.jet(xi)
         t, _, curv = _tangent_curvature(pj.gradient, pj.hessian)
         hess = row_outer(t, t) / (lam * curv)[:, None, None]
         return h, grad, hess.reshape(pts.shape + (2,))
@@ -465,8 +465,9 @@ def _support_points(spec: NormSpec, x: np.ndarray):
     first scaled by a power of two, exactly, so that s means the same for
     all inputs; every product is elementwise, so a row gets the same bits
     and iterations in any batch and under any BLAS.  Returns (lam, xi,
-    iterations, jet): lam is both multiplier and maximum, the iterations
-    count the jets evaluated per row before the returned one, H's at xi.
+    iterations): lam is both multiplier and maximum, and the iterations
+    count the jets of H evaluated per row.  No jet at the polished xi is
+    evaluated here; the dual Hessian, its one reader, takes it.
     Raises ConvergenceError naming the first row that fails.
     """
     size = np.maximum(np.abs(x[:, 0]), np.abs(x[:, 1]))
@@ -504,8 +505,7 @@ def _support_points(spec: NormSpec, x: np.ndarray):
     lam = xi[:, 0] * xs[:, 0] + xi[:, 1] * xs[:, 1]
     r = np.column_stack([xs - lam[:, None] * j.gradient, 1.0 - j.value])
     d_xi, d_lam = _newton_step(lam, j.gradient, j.hessian, r)
-    xi = xi + d_xi
-    return np.ldexp(lam + d_lam, k), xi, iters + 1, spec.jet(xi)
+    return np.ldexp(lam + d_lam, k), xi + d_xi, iters + 1
 
 
 def _support_values(spec: NormSpec, x):
@@ -568,24 +568,6 @@ def _golden_minimize(f, center: float, width: float, iters: int = 80) -> float:
             d = a + phi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
-
-
-def check_ellipticity(spec: NormSpec, samples: int = 256) -> float:
-    """Estimate the uniform-convexity constant of the unit ball of H.
-
-    Minimizes <D^2 H(xi) v, v> over sampled xi on the unit H-sphere and unit
-    v orthogonal to grad H(xi).  Positive output certifies the sampled
-    directions; built-in norms must always yield a strictly positive value.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    dirs = cube_directions(samples, spec.dim, skip=3)
-    j = spec.jet(dirs / np.asarray(spec.value(dirs))[:, None])
-    g = j.gradient / np.sqrt(row_dot(j.gradient, j.gradient))[:, None]
-    # orthonormal bases (as rows) of the tangent spaces grad^perp via SVD
-    tangent = np.linalg.svd(g[:, None, :])[2][:, 1:]
-    sub = tangent @ j.hessian @ np.swapaxes(tangent, -1, -2)
-    return float(np.min(np.linalg.eigvalsh(sub)[:, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,10 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-# Baseline central-difference steps: eps^(1/3) balances truncation against
-# roundoff for first differences.  Second differences divide by h^2, so their
-# roundoff floor forces a coarser step, eps^(1/4); Richardson levels then
-# remove the extra truncation error.
-_GRAD_STEP = _EPS ** (1.0 / 3.0)
-_HESS_STEP = _EPS ** 0.25
+# Auto central-difference step: second differences divide by h^2, so their
+# roundoff floor forces eps^(1/4).  The gradient reads the same stencil; its
+# Richardson levels remove the truncation error a finer step would avoid.
+_STEP = _EPS ** 0.25
 
 
 def _length_scale(pts: np.ndarray) -> np.ndarray:
@@ -108,14 +106,16 @@ def numeric_jet(field: ScalarField, point, step: float | str = "auto",
     ``ScalarField.jet`` and one error estimate per row (floats at one
     point).  One point runs the arithmetic of a batch of one.
 
-    `step` is either "auto" (a step per row that scales with max(1, |x|))
-    or an explicit base step used for every stencil.  `refinement` >= 1 is
-    the number of Richardson levels; level k uses step base * 2^k and the
-    levels are extrapolated together.  At the auto step the gradient uses a
-    finer base step than the Hessian, so it takes only the axis rows of the
-    stencil.  The field is called twice: once for the values at the points,
-    once for every stencil point of every row and level (72 per row at
-    d = 3, refinement 3 and the auto step).
+    `step` is either "auto" (a step per row, eps^(1/4) max(1, |x|)) or an
+    explicit base step used for every stencil.  `refinement` >= 1 is the
+    number of Richardson levels; level k uses step base * 2^k and the levels
+    are extrapolated together.  Gradient and Hessian read one stencil, the
+    gradient its first 2d rows.  The auto step is sized for the Hessian and
+    assumes Richardson levels: at refinement 1 it leaves the gradient an
+    O(h^2) truncation error near 1e-8, which the default of 3 removes.  The
+    field is called twice: once for the values at the points, once for every
+    stencil point of every row and level (2 d^2 per row and level, 54 per
+    row at d = 3 and refinement 3).
 
     No stencil at the largest level may reach the origin (fields here are
     typically singular there); that raises instead of returning noise, as
@@ -131,15 +131,13 @@ def numeric_jet(field: ScalarField, point, step: float | str = "auto",
     levels = int(refinement)
     if levels < 1:
         raise ValueError("refinement must be >= 1")
-    split = step == "auto"
-    if split:
-        length = _length_scale(x)
-        hg, hh = _GRAD_STEP * length, _HESS_STEP * length
+    if step == "auto":
+        h = _STEP * _length_scale(x)
     else:
         if float(step) <= 0.0:
             raise ValueError("step must be positive")
-        hg = hh = np.full(k, float(step))
-    reach = np.maximum(hg, hh) * 2.0 ** (levels - 1) * np.sqrt(2.0) * 1.000001
+        h = np.full(k, float(step))
+    reach = h * 2.0 ** (levels - 1) * np.sqrt(2.0) * 1.000001
     inside = np.sqrt(row_dot(x, x)) <= reach
     if inside.any():
         first = np.argmax(inside)
@@ -152,28 +150,22 @@ def numeric_jet(field: ScalarField, point, step: float | str = "auto",
             f"non-finite field value at {x[np.argmax(bad)].tolist()}")
 
     # steps of shape (row, level, 1), levels coarse -> fine
-    scale = 2.0 ** np.arange(levels - 1, -1, -1)
-    gs, hs = (hg[:, None] * scale)[..., None], (hh[:, None] * scale)[..., None]
-    table = _offsets(n)
-    rows = hs[..., None] * table
-    if split:
-        rows = np.concatenate([rows, gs[..., None] * table[: 2 * n]], axis=2)
+    hs = (h[:, None] * 2.0 ** np.arange(levels - 1, -1, -1))[..., None]
+    rows = hs[..., None] * _offsets(n)
     vals = np.asarray(field((x[:, None, None, :] + rows).reshape(-1, n)),
                       dtype=float).reshape(k, levels, -1)
     bad = ~np.isfinite(vals).all(axis=(1, 2))
     if bad.any():
         raise ValueError(
             f"non-finite field value near {x[np.argmax(bad)].tolist()}")
-    hs2 = hs * hs
-    gvals = vals[..., -2 * n :] if split else vals
-    grad = (gvals[..., :n] - gvals[..., n : 2 * n]) / (2.0 * gs)
-
     fp, fm = vals[..., :n], vals[..., n : 2 * n]
+    grad = (fp - fm) / (2.0 * hs)
+    hs2 = hs * hs
     hess = np.zeros((k, levels, n, n))
     idx = np.arange(n)
     hess[..., idx, idx] = (fp - 2.0 * f0[:, None, None] + fm) / hs2
     i, j = np.triu_indices(n, 1)
-    q = vals[..., 2 * n : len(table)].reshape(k, levels, -1, 4)
+    q = vals[..., 2 * n :].reshape(k, levels, -1, 4)
     off = (q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3]) / (4.0 * hs2)
     hess[..., i, j] = hess[..., j, i] = off
 

@@ -129,10 +129,10 @@ _SCAN_DIRECTIONS = 64
 # with 4,096 and 69.8 MB unblocked (63.9 MB one point at a time).  Report
 # bytes do not depend on the block size.
 _JET_BLOCK = 1024
-# Rows per finite-difference jet call.  A row's stencil is 72 points at
-# N = 3 (refinement 3, auto step), so blocks of 1,024 rows added 8.8 MB of
-# peak RSS to a 1,000-point `nlaplace` run and blocks of 128 added 1.2 MB,
-# at the same speed.  Report bytes do not depend on the block size.
+# Rows per finite-difference jet call.  A row's stencil is 54 points at
+# N = 3 (refinement 3, auto step); a 1,000-point `nlaplace` run there read
+# 34.9 MB peak RSS with blocks of 128 rows, 35.0 MB one row at a time and
+# 38.9 MB with 1,024.  Report bytes do not depend on the block size.
 _FD_BLOCK = 128
 # Weak-form cross-check: number of bump test functions, their radius
 # (Euclidean) and the difference step of their value-only gradients.

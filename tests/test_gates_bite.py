@@ -105,8 +105,8 @@ def test_a_scaled_quartic_dual_fails_the_duality_gates(monkeypatch, tmp_path,
     solve = norms._support_points
 
     def scaled(spec, x):
-        lam, xi, iters, jet = solve(spec, x)
-        return lam * (1.0 + 1e-7), xi, iters, jet
+        lam, xi, iters = solve(spec, x)
+        return lam * (1.0 + 1e-7), xi, iters
 
     monkeypatch.setattr(norms, "_support_points", scaled)
     rep = run_identity_suite(QuarticNorm(), SamplePlan(count=1000, seed=100))

@@ -32,8 +32,7 @@ QUARTIC_PLAN = SamplePlan(count=1000, seed=100)
 
 def reference_support_point(spec, x):
     """Maximize <xi, x> over {H(xi) = 1} for one direction; (lam, xi, its,
-    bisected), where `its` counts the jets before the returned one and
-    `bisected` says whether a Newton step left the bracket."""
+    bisected), where `its` counts the jets evaluated and `bisected` says whether a Newton step left the bracket."""
     k = math.frexp(max(abs(x[0]), abs(x[1])))[1]
     d0, d1 = math.ldexp(x[0], -k), math.ldexp(x[1], -k)
     p0, p1 = -d1, d0
@@ -64,7 +63,7 @@ def reference_support_point(spec, x):
 
 
 def _compare_with_reference(spec, pts):
-    lam, xi, its, _ = norms._support_points(spec, pts)
+    lam, xi, its = norms._support_points(spec, pts)
     assert lam.shape == its.shape == (len(pts),) and xi.shape == pts.shape
     ref = [reference_support_point(spec, p) for p in pts]
     ref_lam = np.array([r[0] for r in ref])
@@ -94,8 +93,8 @@ def test_a_permuted_batch_returns_the_permuted_rows(spec):
     # row must round alike wherever it sits in the batch
     pts = QUARTIC_PLAN.points(QuarticNorm())[:300]
     perm = np.random.default_rng(5).permutation(len(pts))
-    lam, xi, its, _ = norms._support_points(spec, pts)
-    lam_p, xi_p, its_p, _ = norms._support_points(spec, pts[perm])
+    lam, xi, its = norms._support_points(spec, pts)
+    lam_p, xi_p, its_p = norms._support_points(spec, pts[perm])
     assert len(set(its.tolist())) > 1
     assert np.array_equal(lam_p, lam[perm])
     assert np.array_equal(xi_p, xi[perm])
@@ -169,16 +168,7 @@ def test_dual_jet_value_and_gradient_are_the_solve_bits():
 
 def test_dual_jet_takes_the_primal_jet_from_its_one_solve(monkeypatch):
     pts = QUARTIC_PLAN.points(QuarticNorm())[:20]
-    _, xi, _, pj = norms._support_points(QuarticNorm(), pts)
-    # the returned jet is H's at each row's polished point
-    final = QuarticNorm().jet(xi)
-    for got, want in zip((pj.value, pj.gradient, pj.hessian),
-                         (final.value, final.gradient, final.hessian)):
-        assert np.array_equal(got, want)
-
-    # the dual jet makes one solve and evaluates no primal jet beyond the
-    # solve's own
-    calls = []
+    calls, jet_points = [], []
     solve, primal_jet = norms._support_points, QuarticNorm.jet
 
     def counting_solve(spec, x):
@@ -187,15 +177,27 @@ def test_dual_jet_takes_the_primal_jet_from_its_one_solve(monkeypatch):
 
     def counting_jet(self, x):
         calls.append("jet")
+        jet_points.append(x)
         return primal_jet(self, x)
 
     monkeypatch.setattr(norms, "_support_points", counting_solve)
     monkeypatch.setattr(QuarticNorm, "jet", counting_jet)
-    norms._support_points(QuarticNorm(), pts)
+    _, xi, its = norms._support_points(QuarticNorm(), pts)
     alone = calls[:]
+    # the iterations count every primal jet the solve evaluates
+    assert alone.count("solve") == 1 and alone.count("jet") == its.max()
+
+    # value and gradient evaluate no primal jet beyond the solve's own
+    dual = NumericDualNorm(QuarticNorm())
     calls.clear()
-    NumericDualNorm(QuarticNorm()).jet(pts)
-    assert calls == alone and calls.count("solve") == 1
+    dual.value_gradient(pts)
+    assert calls == alone
+
+    # the dual jet makes one solve, then one primal jet at the solve's xi
+    calls.clear()
+    dual.jet(pts)
+    assert calls == alone + ["jet"]
+    assert np.array_equal(jet_points[-1], xi)
 
 
 _DUAL_DIGESTS = """

@@ -204,6 +204,20 @@ def test_numeric_jet_origin_stencil_rejected():
         numeric_jet(field, np.array([0.1, 0.0]), step=0.2)
 
 
+@pytest.mark.parametrize("refinement", [1, 3])
+def test_auto_step_reach_is_the_coarsest_diagonal(refinement):
+    # inside max(1, |x|) = 1 the auto step is eps^(1/4), and the coarsest
+    # level's diagonal stencil points reach sqrt(2) times its step
+    field = ScalarField(2, lambda p: np.sum(p, axis=-1), name="sum")
+    reach = (np.finfo(float).eps ** 0.25 * 2.0 ** (refinement - 1)
+             * np.sqrt(2.0) * 1.000001)
+    with pytest.raises(ValueError, match=f"stencil of reach {reach:.3g} "):
+        numeric_jet(field, np.array([0.0, reach * (1.0 - 1e-6)]),
+                    refinement=refinement)
+    numeric_jet(field, np.array([0.0, reach * (1.0 + 1e-6)]),
+                refinement=refinement)
+
+
 def test_numeric_jet_nonfinite_rejected():
     def evaluate(p):
         with np.errstate(invalid="ignore"):
@@ -232,18 +246,16 @@ def test_numeric_jet_evaluates_the_whole_stencil_in_one_call():
 
     field = ScalarField(3, evaluate, name="counted")
     x = np.array([0.7, -0.4, 1.1])
-    # f0, then 3 levels of 6 axis rows at the gradient step and 18 full
-    # rows at the Hessian step
+    # f0, then 3 levels of the 18 stencil rows that both derivatives read
     numeric_jet(field, x)
-    assert calls == [1, 72]
+    assert calls == [1, 54]
     calls.clear()
-    # one step for both derivatives: the full rows alone
     numeric_jet(field, x, step=1e-3, refinement=1)
     assert calls == [1, 18]
     calls.clear()
     # a batch of k points: the points, then every row's stencil
     numeric_jet(field, np.stack([x, 1.5 * x, -x]))
-    assert calls == [3, 3 * 72]
+    assert calls == [3, 3 * 54]
 
 
 def test_quartic_coefficient_route(rng):

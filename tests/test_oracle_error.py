@@ -1,17 +1,19 @@
 """scripts/oracle_error.py on real and edited semilinear and nlaplace reports,
-and its 40-digit check of the quartic numeric dual."""
+its check of the nlaplace FD jets against the chain-rule jet, and its
+40-digit check of the quartic numeric dual."""
 
 import copy
 import importlib.util
 import io
 import json
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from finslerkelvin import (Jet2, NumericDualNorm, QuarticNorm, RiemannianNorm,
-                           SamplePlan, cli, random_spd_matrix)
+                           SamplePlan, cli, random_spd_matrix, verify)
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "oracle_error.py"
 
@@ -107,6 +109,46 @@ def test_a_perturbed_affine_row_raises_the_max(oracle_error, nlaplace_report,
     other = copy.deepcopy(nlaplace_report)
     other["suites"][0]["rows"][7]["lhs"] = -1e-6
     assert _affine_max(oracle_error, other, tmp_path) == 1e-6
+
+
+def test_nlaplace_fd_jets_sit_near_the_chain_rule_jet(oracle_error,
+                                                      nlaplace_report, tmp_path):
+    path = tmp_path / "nlaplace.json"
+    path.write_text(json.dumps(nlaplace_report))
+    errors = oracle_error.fd_errors(str(path))
+    assert set(errors) == {"gradient", "Hessian"}
+    # the plan points are the points of the report's numeric rows
+    count = nlaplace_report["config"]["count"]
+    numeric = [row["point"] for row in nlaplace_report["suites"][0]["rows"][-count:]]
+    for errs, where in errors.values():
+        assert len(errs) == count and [w[2] for w in where] == numeric
+    assert max(errors["gradient"][0]) < 1e-11
+    assert max(errors["Hessian"][0]) < 1e-6
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert oracle_error.main([str(path)] * 2 + ["--pool"]) == 0
+    lines = buf.getvalue().splitlines()
+    at = next(i for i, line in enumerate(lines) if "nlaplace FD" in line)
+    assert lines[at - 1] == "pooled over 2 reports"
+    assert [line.split()[:2] for line in lines[at + 1:at + 3]] == [
+        ["gradient", "40"], ["Hessian", "40"]]
+
+
+def test_the_fd_oracle_sees_a_gradient_off_by_1e_9(oracle_error, monkeypatch):
+    fd = verify.numeric_jet
+
+    def scaled(field, point):
+        j = fd(field, point)
+        return replace(j, gradient=j.gradient * (1.0 + 1e-9))
+
+    spec = RiemannianNorm(random_spd_matrix(3, seed=5))
+    points = SamplePlan(count=20).points(spec)
+    clean = oracle_error.fd_errors_at(spec, points)
+    monkeypatch.setattr(verify, "numeric_jet", scaled)
+    errors = oracle_error.fd_errors_at(spec, points)
+    assert max(clean["gradient"]) < 1e-11 < 1e-10 < min(errors["gradient"])
+    assert errors["Hessian"] == clean["Hessian"]
 
 
 QUARTIC_PLAN = SamplePlan(count=1000, seed=100)

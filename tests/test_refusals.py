@@ -13,7 +13,6 @@ from finslerkelvin import (
     QuarticNorm,
     RiemannianNorm,
     SpdMatrix,
-    check_ellipticity,
     equivalence_constants,
     gaussian_field,
     jacobian_matrix,
@@ -67,12 +66,6 @@ def test_sampled_equivalence_constants_refuse_three_dimensions():
     with pytest.raises(ValueError, match="^sampled equivalence constants "
                                          "implemented for dim 2$"):
         equivalence_constants(_SpatialNorm())
-
-
-@pytest.mark.parametrize("samples", [0, -1])
-def test_check_ellipticity_refuses_no_samples(samples):
-    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
-        check_ellipticity(QuarticNorm(), samples=samples)
 
 
 def test_numeric_jet_refuses_bad_arguments():
